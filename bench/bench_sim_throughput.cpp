@@ -43,7 +43,11 @@
  * Honors the usual harness knobs (DISE_BENCH_SCALE / _ONLY / _JOBS /
  * _JSON); the JSON artifact is BENCH_sim_throughput.json with kind
  * "throughput", whose entries carry the guest instruction count and
- * the per-entry host section. Host wall-clock numbers are inherently
+ * the per-entry host section. The host section also records the
+ * regime's trace-cache translations ("blocks_translated"): the feed
+ * re-enters blocks it stopped in mid-way, so timing_mfi translates
+ * exactly what functional_mfi does — a work-counter gate free of
+ * wall-clock noise. Host wall-clock numbers are inherently
  * machine-dependent: determinism comparisons strip every host section
  * and every sampling section (validate_bench_json.py --compare).
  */
@@ -68,6 +72,9 @@ struct Measured
 {
     uint64_t insts = 0;
     double seconds = 0.0;
+    /** Trace-cache translations (ExecCore::traceCacheStats): a
+     *  noise-free work counter beside the wall-clock numbers. */
+    uint64_t blocksTranslated = 0;
 
     double
     mips() const
@@ -91,6 +98,7 @@ throughputEntry(const Measured &m)
     Json entry = Json::object();
     entry["insts"] = Json(m.insts);
     entry["host"] = hostSection(m.seconds, m.insts);
+    entry["host"]["blocks_translated"] = Json(m.blocksTranslated);
     return entry;
 }
 
@@ -125,6 +133,7 @@ runFunctional(const Program &prog,
                     std::chrono::steady_clock::now() - t0)
                     .count();
     m.insts = r.dynInsts;
+    m.blocksTranslated = core.traceCacheStats().blocksTranslated;
     if (!r.exited || r.exitCode != 0) {
         fatal(strFormat("BENCH FAILURE: %s exited=%d code=%d",
                         what.c_str(), int(r.exited), r.exitCode));
@@ -154,6 +163,8 @@ runTimingMfi(const Program &prog,
                         std::chrono::steady_clock::now() - t0)
                         .count();
     out.m.insts = out.t.arch.dynInsts;
+    out.m.blocksTranslated =
+        sim.core().traceCacheStats().blocksTranslated;
     if (fusion)
         out.fusionCounters = sim.core().fusionStatGroup().counters();
     check(out.t, what);

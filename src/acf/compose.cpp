@@ -304,9 +304,11 @@ inlineOuter(const ProductionSet &outer, const PatternSpec &innerPattern,
             outSeq.insts.push_back(r);
             continue;
         }
-        DISE_ASSERT(!matched->explicitTag,
-                    "outer production with explicit tagging cannot be "
-                    "composed statically");
+        // Client production sets reach here: reject, don't assert.
+        if (matched->explicitTag) {
+            fatal("composeNested: outer production with explicit "
+                  "tagging cannot be composed statically");
+        }
         const ReplacementSeq *outerSeq = outer.sequence(matched->seqId);
         DISE_ASSERT(outerSeq != nullptr, "unbound outer sequence");
 
@@ -414,9 +416,10 @@ composeMerged(const ProductionSet &first, const ProductionSet &second)
     std::vector<bool> secondMerged(second.productions().size(), false);
 
     for (const auto &prodA : first.productions()) {
-        DISE_ASSERT(!prodA.explicitTag,
-                    "merged composition of tagged productions is not "
-                    "supported");
+        if (prodA.explicitTag) {
+            fatal("composeMerged: merged composition of tagged "
+                  "productions is not supported");
+        }
         const ReplacementSeq *seqA = first.sequence(prodA.seqId);
         DISE_ASSERT(seqA != nullptr, "unbound sequence");
 
@@ -459,9 +462,10 @@ composeMerged(const ProductionSet &first, const ProductionSet &second)
         if (secondMerged[i])
             continue;
         const auto &prodB = second.productions()[i];
-        DISE_ASSERT(!prodB.explicitTag,
-                    "merged composition of tagged productions is not "
-                    "supported");
+        if (prodB.explicitTag) {
+            fatal("composeMerged: merged composition of tagged "
+                  "productions is not supported");
+        }
         const ReplacementSeq *seqB = second.sequence(prodB.seqId);
         ReplacementSeq copy = *seqB;
         result.addPattern(prodB.pattern,

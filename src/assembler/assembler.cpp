@@ -131,6 +131,14 @@ parseNumber(const std::string &text)
     if (i >= t.size())
         return std::nullopt;
     uint64_t value = 0;
+    // Accumulate value * base + digit, rejecting literals wider than
+    // 64 bits instead of silently wrapping.
+    const auto accumulate = [&value](uint64_t base, uint64_t digit) {
+        if (value > (~uint64_t(0) - digit) / base)
+            return false;
+        value = value * base + digit;
+        return true;
+    };
     if (t.size() > i + 1 && t[i] == '0' &&
         (t[i + 1] == 'x' || t[i + 1] == 'X')) {
         for (size_t j = i + 2; j < t.size(); ++j) {
@@ -143,7 +151,8 @@ parseNumber(const std::string &text)
                 digit = c - 'a' + 10;
             else
                 return std::nullopt;
-            value = value * 16 + static_cast<uint64_t>(digit);
+            if (!accumulate(16, static_cast<uint64_t>(digit)))
+                return std::nullopt;
         }
         if (t.size() == i + 2)
             return std::nullopt;
@@ -151,11 +160,12 @@ parseNumber(const std::string &text)
         for (size_t j = i; j < t.size(); ++j) {
             if (!std::isdigit(static_cast<unsigned char>(t[j])))
                 return std::nullopt;
-            value = value * 10 + static_cast<uint64_t>(t[j] - '0');
+            if (!accumulate(10, static_cast<uint64_t>(t[j] - '0')))
+                return std::nullopt;
         }
     }
-    const int64_t sval = static_cast<int64_t>(value);
-    return neg ? -sval : sval;
+    // Two's complement in unsigned: negating INT64_MIN is not UB here.
+    return static_cast<int64_t>(neg ? 0 - value : value);
 }
 
 /** The assembler proper: two passes over pre-parsed lines. */
@@ -348,6 +358,10 @@ class Assembler
                 asmError(sl.number, "bad displacement " + dispText);
             disp = *n;
         }
+        if (!fitsSigned(disp, 16)) {
+            asmError(sl.number, "memory displacement " + dispText +
+                                    " out of range (-32768..32767)");
+        }
         const RegIndex rb =
             parseReg(sl, text.substr(open + 1, close - open - 1));
         return {disp, rb};
@@ -421,11 +435,20 @@ class Assembler
 
     /** Emit the ldah/lda pair that materializes a 32-bit constant. */
     void
-    emitLoadImmediate(int64_t value, RegIndex rd)
+    emitLoadImmediate(const SrcLine &sl, int64_t value, RegIndex rd)
     {
         const int64_t lo = signExtend(static_cast<uint64_t>(value), 16);
-        const int64_t hi = (value - lo) >> 16;
-        DISE_ASSERT(fitsSigned(hi, 16), "li/laq immediate out of range");
+        // In unsigned: value - lo overflows int64 near its limits.
+        const int64_t hi = static_cast<int64_t>(
+                               static_cast<uint64_t>(value) -
+                               static_cast<uint64_t>(lo)) >>
+                           16;
+        if (!fitsSigned(hi, 16)) {
+            asmError(sl.number,
+                     sl.mnemonic + " immediate " + trim(sl.operands[0]) +
+                         " out of the ldah/lda range "
+                         "(-2147516416..2147450879)");
+        }
         // ldah rd, hi(zero); lda rd, lo(rd)  =>  rd = (hi << 16) + lo.
         prog_.text.push_back(makeMemory(Opcode::LDAH, rd, kZeroReg, hi));
         prog_.text.push_back(makeMemory(Opcode::LDA, rd, rd, lo));
@@ -450,7 +473,7 @@ class Assembler
             expectOperands(sl, 2);
             const int64_t value = resolveValue(sl, sl.operands[0]);
             const RegIndex rd = parseReg(sl, sl.operands[1]);
-            emitLoadImmediate(value, rd);
+            emitLoadImmediate(sl, value, rd);
             return;
         }
         if (m == "call") {
@@ -504,6 +527,10 @@ class Assembler
                     asmError(sl.number, "misaligned branch target");
                 disp = (target - static_cast<int64_t>(pc) - 4) / 4;
             }
+            if (!fitsSigned(disp, 21)) {
+                asmError(sl.number, "branch displacement to " + t +
+                                        " out of range (21-bit words)");
+            }
             prog_.text.push_back(makeBranch(*opc, ra, disp));
             break;
           }
@@ -546,6 +573,14 @@ class Assembler
             const auto p3 = parseNumber(sl.operands[3]);
             if (!tag || !p1 || !p2 || !p3)
                 asmError(sl.number, "bad codeword fields");
+            if (*tag < 0 || *tag > kMaxCodewordTag)
+                asmError(sl.number, "codeword tag out of range (0..2047)");
+            for (const int64_t p : {*p1, *p2, *p3}) {
+                if (p < 0 || p > 31) {
+                    asmError(sl.number,
+                             "codeword parameter out of range (0..31)");
+                }
+            }
             prog_.text.push_back(makeCodeword(
                 *opc, static_cast<uint16_t>(*tag),
                 static_cast<uint8_t>(*p1), static_cast<uint8_t>(*p2),

@@ -11,6 +11,9 @@ BranchPredictor::BranchPredictor(const PredictorParams &params)
     DISE_ASSERT(isPow2(params_.gshareEntries), "gshare size must be pow2");
     DISE_ASSERT(isPow2(params_.btbEntries / params_.btbAssoc),
                 "btb sets must be pow2");
+    const uint32_t sets = params_.btbEntries / params_.btbAssoc;
+    btbSetMask_ = sets - 1;
+    btbTagShift_ = log2i(sets);
     counters_.assign(params_.gshareEntries, 1); // weakly not-taken
     btb_.assign(params_.btbEntries, BtbEntry());
     ras_.assign(params_.rasEntries, 0);
@@ -27,9 +30,8 @@ BranchPredictor::gshareIndex(Addr pc) const
 BranchPredictor::BtbEntry *
 BranchPredictor::btbLookup(Addr pc)
 {
-    const uint32_t sets = params_.btbEntries / params_.btbAssoc;
-    const uint64_t set = (pc >> 2) & (sets - 1);
-    const uint64_t tag = (pc >> 2) / sets;
+    const uint64_t set = (pc >> 2) & btbSetMask_;
+    const uint64_t tag = (pc >> 2) >> btbTagShift_;
     BtbEntry *way = &btb_[set * params_.btbAssoc];
     for (uint32_t w = 0; w < params_.btbAssoc; ++w)
         if (way[w].valid && way[w].tag == tag)
@@ -40,9 +42,8 @@ BranchPredictor::btbLookup(Addr pc)
 void
 BranchPredictor::btbInsert(Addr pc, Addr target)
 {
-    const uint32_t sets = params_.btbEntries / params_.btbAssoc;
-    const uint64_t set = (pc >> 2) & (sets - 1);
-    const uint64_t tag = (pc >> 2) / sets;
+    const uint64_t set = (pc >> 2) & btbSetMask_;
+    const uint64_t tag = (pc >> 2) >> btbTagShift_;
     BtbEntry *way = &btb_[set * params_.btbAssoc];
     BtbEntry *victim = &way[0];
     for (uint32_t w = 0; w < params_.btbAssoc; ++w) {

@@ -98,6 +98,10 @@ class BranchPredictor
     std::vector<uint8_t> counters_;
     uint64_t history_ = 0;
     std::vector<BtbEntry> btb_;
+    /** BTB set count - 1 and log2(set count): index and tag of
+     *  (pc >> 2) by mask and shift (the set count is a power of two). */
+    uint64_t btbSetMask_ = 0;
+    uint32_t btbTagShift_ = 0;
     std::vector<Addr> ras_;
     size_t rasTop_ = 0;
     uint64_t useCounter_ = 0;

@@ -1,10 +1,12 @@
 #include "src/dise/parser.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <vector>
 
+#include "src/common/bits.hpp"
 #include "src/common/logging.hpp"
 
 namespace dise {
@@ -186,6 +188,11 @@ parseInstLine(int line, const std::string &text,
         if (!dispText.empty()) {
             std::tie(rinst.immDir, rinst.templ.imm) =
                 parseImmField(line, dispText, symbols);
+            if (rinst.immDir == ImmDirective::Literal &&
+                !fitsSigned(rinst.templ.imm, 16)) {
+                parseError(line, "memory displacement " + dispText +
+                                     " out of range (-32768..32767)");
+            }
         }
         std::tie(rinst.rbDir, rinst.templ.rb) = parseRegField(
             line, memOp.substr(open + 1, close - open - 1));
@@ -200,6 +207,10 @@ parseInstLine(int line, const std::string &text,
             const auto n = parseNumber(operands[1]);
             if (!n)
                 parseError(line, "bad DISE branch displacement");
+            if (!fitsSigned(*n, 21)) {
+                parseError(line, "DISE branch displacement " + operands[1] +
+                                     " out of range (21-bit)");
+            }
             rinst.templ.imm = *n;
         } else {
             std::tie(rinst.immDir, rinst.templ.imm) =
@@ -251,6 +262,11 @@ parseInstLine(int line, const std::string &text,
             rinst.templ.useLit = true;
             std::tie(rinst.immDir, rinst.templ.imm) =
                 parseImmField(line, src2, symbols);
+            if (rinst.immDir == ImmDirective::Literal &&
+                (rinst.templ.imm < 0 || rinst.templ.imm > 255)) {
+                parseError(line,
+                           "operate literal must be 0..255: " + src2);
+            }
         }
         break;
       }
@@ -423,7 +439,9 @@ parseProductions(const std::string &source,
         if (at == std::string::npos)
             return std::nullopt;
         const auto id = parseNumber(name.substr(at + 1));
-        if (!id || *id < 0)
+        // Bounded far below the SeqId range, so the fresh ids numbered
+        // after it cannot wrap around onto bound ones.
+        if (!id || *id < 0 || *id > INT32_MAX)
             fatal("bad explicit sequence id in '" + name + "'");
         return static_cast<SeqId>(*id);
     };
@@ -431,6 +449,8 @@ parseProductions(const std::string &source,
         if (seqs[name].insts.empty())
             fatal("empty replacement sequence " + name);
         if (const auto id = explicitId(name)) {
+            if (set.sequence(*id) != nullptr)
+                fatal("duplicate explicit sequence id in '" + name + "'");
             set.addSequenceWithId(*id, seqs[name]);
             seqIds[name] = *id;
         }
@@ -445,7 +465,7 @@ parseProductions(const std::string &source,
             const std::string rest = trim(pending.target.substr(3));
             if (!rest.empty()) {
                 const auto n = parseNumber(rest);
-                if (!n || *n < 0)
+                if (!n || *n < 0 || *n > int64_t(~SeqId(0)))
                     parseError(pending.line,
                                "bad tag base: " + pending.target);
                 base = static_cast<SeqId>(*n);

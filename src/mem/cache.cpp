@@ -27,9 +27,9 @@ Cache::Cache(const CacheParams &params, Cache *next, uint32_t memLatency)
 uint32_t
 Cache::access(Addr addr, bool write)
 {
-    stats_.add("accesses");
+    bump(accessesCell_, "accesses");
     if (write)
-        stats_.add("writes");
+        bump(writesCell_, "writes");
     // accessHot() is the whole algorithm (MRU probe inline, the rest
     // in accessFillPath); access() only adds the per-access counters
     // the hot callers account for themselves.
@@ -59,14 +59,13 @@ Cache::accessFillPath(Addr addr, bool write, uint64_t set, uint64_t tag)
         return params_.hitLatency;
     }
 
-    stats_.add("misses");
+    bump(missesCell_, "misses");
     uint32_t latency = params_.hitLatency;
     // Write back the victim.
     if (victim->valid && victim->dirty) {
-        stats_.add("writebacks");
+        bump(writebacksCell_, "writebacks");
         if (next_) {
-            const uint64_t victimLine =
-                (victim->tag << log2i(numSets_)) | set;
+            const uint64_t victimLine = (victim->tag << tagShift_) | set;
             next_->access(victimLine * params_.lineBytes, true);
         }
     }
@@ -123,6 +122,7 @@ Cache::adoptState(const Cache &other)
     mru_ = other.mru_;
     useCounter_ = other.useCounter_;
     stats_ = other.stats_;
+    accessesCell_ = writesCell_ = missesCell_ = writebacksCell_ = nullptr;
 }
 
 MemHierarchy::MemHierarchy(const MemHierarchyParams &params)

@@ -45,6 +45,11 @@ class Cache
      */
     Cache(const CacheParams &params, Cache *next, uint32_t memLatency);
 
+    /** Not copyable: the bound stat cells point into this cache's own
+     *  StatGroup (adoptState() is the supported state transfer). */
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
     /**
      * Access one address.
      * @param addr Byte address (the whole access is assumed to fit in
@@ -131,6 +136,21 @@ class Cache
     uint32_t accessFillPath(Addr addr, bool write, uint64_t set,
                             uint64_t tag);
 
+    /**
+     * Bump the counter @p key through the cached cell @p slot, binding
+     * it on first use. Binding lazily keeps the StatGroup's key set
+     * exactly what add() would have produced (a cache that never
+     * misses has no "misses" key), without a string map lookup per
+     * bump after the first.
+     */
+    void
+    bump(uint64_t *&slot, const char *key)
+    {
+        if (slot == nullptr)
+            slot = stats_.cell(key);
+        ++*slot;
+    }
+
     CacheParams params_;
     Cache *next_;
     uint32_t memLatency_;
@@ -148,6 +168,14 @@ class Cache
     std::vector<uint32_t> mru_;
     uint64_t useCounter_ = 0;
     StatGroup stats_;
+    /** @name Lazily bound stats_ cells (see bump()); cleared whenever
+     *  stats_ is replaced, since its map nodes go with it. */
+    /// @{
+    uint64_t *accessesCell_ = nullptr;
+    uint64_t *writesCell_ = nullptr;
+    uint64_t *missesCell_ = nullptr;
+    uint64_t *writebacksCell_ = nullptr;
+    /// @}
 };
 
 /** Configuration of the full hierarchy. */

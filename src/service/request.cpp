@@ -1,5 +1,8 @@
 #include "src/service/request.hpp"
 
+#include <cstdint>
+
+#include "src/common/bits.hpp"
 #include "src/common/logging.hpp"
 #include "src/common/stats.hpp"
 
@@ -88,6 +91,17 @@ checkUInt(const std::string &key, const Json &value)
     return value.asUInt();
 }
 
+/** checkUInt for 32-bit fields: wider values are rejected, not
+ *  truncated into range. */
+uint32_t
+checkUInt32(const std::string &key, const Json &value)
+{
+    const uint64_t v = checkUInt(key, value);
+    if (v > UINT32_MAX)
+        fatal("RunRequest: \"" + key + "\" is out of range");
+    return static_cast<uint32_t>(v);
+}
+
 bool
 checkBool(const std::string &key, const Json &value)
 {
@@ -159,6 +173,25 @@ RunRequest::validate() const
         fatal("RunRequest: scale applies to workloads only");
     if (width == 0)
         fatal("RunRequest: width must be >= 1");
+    // Machine geometry the simulator asserts on (and allocates from):
+    // reject it here, as a structured error, before any component is
+    // built from it.
+    if (dise.rtEntries > 0) {
+        if (dise.rtAssoc == 0 || dise.rtEntries % dise.rtAssoc != 0 ||
+            !isPow2(dise.rtEntries / dise.rtAssoc)) {
+            fatal("RunRequest: rt_entries / rt_assoc must be a power-of-"
+                  "two number of RT sets");
+        }
+        if (dise.rtEntries > kMaxRtEntries) {
+            fatal(strFormat("RunRequest: rt_entries must be at most %u",
+                            kMaxRtEntries));
+        }
+    }
+    if (icacheKB != 0 && (!isPow2(icacheKB) || icacheKB > kMaxIcacheKB)) {
+        fatal(strFormat("RunRequest: icache_kb must be 0 (perfect) or a "
+                        "power of two up to %u",
+                        kMaxIcacheKB));
+    }
     if (acfsExplicit &&
         (mfi || watchpoint || rewriteMfi || compress || profile)) {
         fatal("RunRequest: the \"acfs\" list cannot be mixed with the "
@@ -321,9 +354,9 @@ RunRequest::fromJson(const Json &doc)
             req.profile = checkBool(key, value);
             legacyAcfKey = key;
         } else if (key == "rt_entries") {
-            req.dise.rtEntries = uint32_t(checkUInt(key, value));
+            req.dise.rtEntries = checkUInt32(key, value);
         } else if (key == "rt_assoc") {
-            req.dise.rtAssoc = uint32_t(checkUInt(key, value));
+            req.dise.rtAssoc = checkUInt32(key, value);
         } else if (key == "placement") {
             req.dise.placement = parsePlacement(checkString(key, value));
         } else if (key == "expansion_cache") {
@@ -339,9 +372,9 @@ RunRequest::fromJson(const Json &doc)
         } else if (key == "sample_detail") {
             req.sampleDetail = checkUInt(key, value);
         } else if (key == "icache_kb") {
-            req.icacheKB = uint32_t(checkUInt(key, value));
+            req.icacheKB = checkUInt32(key, value);
         } else if (key == "width") {
-            req.width = uint32_t(checkUInt(key, value));
+            req.width = checkUInt32(key, value);
         } else if (key == "max_insts") {
             req.maxInsts = checkUInt(key, value);
         } else if (key == "max_cycles") {

@@ -44,6 +44,13 @@ RunMode parseRunMode(const std::string &name);
 /** One simulation job. */
 struct RunRequest
 {
+    /** @name Upper bounds validate() puts on machine geometry (a
+     *  request must not make the simulator allocate without limit). */
+    /// @{
+    static constexpr uint32_t kMaxRtEntries = 1u << 20;
+    static constexpr uint32_t kMaxIcacheKB = 1u << 16;
+    /// @}
+
     /** Job label echoed into the response; defaults to
      *  "<workload-or-source>/<regime>" when empty. */
     std::string id;

@@ -1753,12 +1753,13 @@ seq_done:
 
 template <bool kEmit>
 void
-ExecCore::runChain(const TransBlock *block, uint64_t maxInsts)
+ExecCore::runChain(const TransBlock *block, uint32_t slot,
+                   uint64_t maxInsts)
 {
     const bool haveEngine = controller_ != nullptr;
     const TransBlock *blk = block;
-    const TransOp *t = blk->ops.data();
-    Addr pc = blk->entryPC;
+    const TransOp *t = blk->ops.data() + slot;
+    Addr pc = pc_;
     uint64_t epoch0 = traceEpoch_;
     // Successor hand-off registers for the `chain` trampoline.
     Addr nextPC = 0;
@@ -2171,8 +2172,15 @@ dispatch:
             }
         }
         CHAIN_RELOAD();
-        if (exited_ || trapped_ || seqSpec_)
-            goto exit_flush; // done, or budget/deadline mid-sequence
+        if (exited_ || trapped_)
+            goto exit_flush;
+        if (seqSpec_) {
+            // Budget or deadline mid-sequence. The feed resumes the
+            // sequence next call, then this block at the next slot.
+            if constexpr (kEmit)
+                setResumeCursor(blk, t + 1, pc + 4, epoch0);
+            goto exit_flush;
+        }
         if (traceEpoch_ != epoch0)
             goto exit_flush; // a sequence store rewrote text (pc_ set)
         if (pc_ == pc + 4) {
@@ -2248,6 +2256,8 @@ chain:
 
 budget_stop:
     pc_ = pc;
+    if constexpr (kEmit)
+        setResumeCursor(blk, t, pc, epoch0);
 exit_flush:
     CHAIN_FLUSH();
     statChainFollows_ += chainFollows;
@@ -2306,7 +2316,7 @@ ExecCore::runTranslated(uint64_t maxInsts)
                 break;
             continue;
         }
-        runChain<false>(de.block.get(), maxInsts);
+        runChain<false>(de.block.get(), 0, maxInsts);
     }
 }
 
@@ -2351,6 +2361,19 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
                 ++emit_;
             continue;
         }
+        const uint64_t gen =
+            controller_ ? controller_->engine().generation() : 0;
+        if (resume_.block != nullptr) {
+            // A prior batch stopped mid-block: re-enter that block at
+            // the stopped slot if nothing has invalidated it since.
+            const ResumeCursor rc = resume_;
+            resume_.block = nullptr;
+            if (rc.pc == pc_ && rc.epoch == traceEpoch_ && rc.gen == gen) {
+                ++statCursorResumes_;
+                runChain<true>(rc.block, rc.slot, budget);
+                continue;
+            }
+        }
         if ((pc_ & 3) != 0 || pc_ < prog_.textBase ||
             pc_ >= prog_.textEnd()) {
             if (!step(*emit_))
@@ -2360,8 +2383,6 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
         }
         DispatchEntry &de =
             dispatch_[(pc_ >> 2) & (kDispatchEntries - 1)];
-        const uint64_t gen =
-            controller_ ? controller_->engine().generation() : 0;
         if (de.pc != pc_ || de.epoch != traceEpoch_ || de.gen != gen) {
             de.block = lookupBlock(pc_);
             de.pc = pc_;
@@ -2374,7 +2395,7 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
             ++emit_;
             continue;
         }
-        runChain<true>(de.block.get(), budget);
+        runChain<true>(de.block.get(), 0, budget);
     }
     pinSuspendedSeq();
     const size_t n = static_cast<size_t>(emit_ - ring);

@@ -248,11 +248,14 @@ class ExecCore
         uint64_t blocksTranslated = 0;
         uint64_t evictions = 0; ///< whole-map cache-pressure evictions
         uint64_t chainFollows = 0;
+        /** fillTrace calls that re-entered a block mid-way through
+         *  the resume cursor instead of the dispatcher. */
+        uint64_t cursorResumes = 0;
     };
     TraceCacheStats traceCacheStats() const
     {
         return {statBlocksTranslated_, statTraceEvictions_,
-                statChainFollows_};
+                statChainFollows_, statCursorResumes_};
     }
     /// @}
 
@@ -332,12 +335,15 @@ class ExecCore
     /** run() body when the trace cache is enabled. */
     void runTranslated(uint64_t maxInsts);
     /**
-     * Execute the superblock chain starting at @p block (whose entry PC
-     * is pc_): the direct-threaded interpreter runs the block's slots
+     * Execute the superblock chain starting at slot @p slot of @p block
+     * (pc_ is that slot's PC: the entry PC for slot 0, the resume
+     * cursor's PC otherwise): the direct-threaded interpreter runs the
+     * block's slots
      * and follows patched ChainEdges block-to-block until a budget
      * expiry, a cancellation poll, an untranslatable successor, a chain
      * invalidation, or termination. The caller must hold @p block alive
-     * (dispatch-cache shared_ptr); chain successors are kept alive by
+     * (dispatch-cache shared_ptr, or traces_ itself for a resume cursor
+     * whose stamps still match); chain successors are kept alive by
      * traces_ plus the retired_ graveyard.
      *
      * kEmit (the fillTrace feed): every retirement additionally writes
@@ -347,7 +353,8 @@ class ExecCore
      * retired instruction emits at most one record).
      */
     template <bool kEmit>
-    void runChain(const TransBlock *block, uint64_t maxInsts);
+    void runChain(const TransBlock *block, uint32_t slot,
+                  uint64_t maxInsts);
     /**
      * Chainable block entered at @p pc, translating on miss: null when
      * the target is unaligned, outside text, or untranslatable (the
@@ -573,11 +580,43 @@ class ExecCore
      * leave the interpreter).
      */
     DynInst *emit_ = nullptr;
+    /**
+     * fillTrace resume cursor (DESIGN.md section 14): where the last
+     * emitting chain stopped inside a block — at a budget stop (the
+     * ring filled mid-block), or after an Engine slot left its
+     * replacement sequence suspended (slot + 1, trigger PC + 4). The
+     * next fillTrace re-enters that block at that slot, instead of
+     * translating a suffix block at the mid-block PC, only when pc_ and
+     * both stamps still match. The stamps follow the ChainEdge contract
+     * (section 13.3): every removal of a block from traces_ bumps
+     * traceEpoch_ or follows a generation change, so matching stamps
+     * prove the block is still resident and current. The block pointer
+     * is never dereferenced otherwise.
+     */
+    struct ResumeCursor
+    {
+        const TransBlock *block = nullptr; ///< null: no cursor
+        uint32_t slot = 0;
+        Addr pc = 0;
+        uint64_t epoch = 0; ///< traceEpoch_ at block entry
+        uint64_t gen = 0;   ///< engine generation
+    };
+    ResumeCursor resume_;
+    /** Point resume_ at slot @p t of @p blk, whose PC is @p pc. */
+    void
+    setResumeCursor(const TransBlock *blk, const TransOp *t, Addr pc,
+                    uint64_t epoch)
+    {
+        resume_ = {blk, static_cast<uint32_t>(t - blk->ops.data()), pc,
+                   epoch,
+                   controller_ ? controller_->engine().generation() : 0};
+    }
     /** @name Fast-path counters (traceCacheStats; not architectural). */
     /// @{
     uint64_t statBlocksTranslated_ = 0;
     uint64_t statTraceEvictions_ = 0;
     uint64_t statChainFollows_ = 0;
+    uint64_t statCursorResumes_ = 0;
     /// @}
     /**
      * Direct-mapped dispatch cache in front of traces_: entry PC ->

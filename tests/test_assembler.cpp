@@ -221,6 +221,67 @@ TEST(AssemblerErrors, LiteralOutOfRange)
     EXPECT_THROW(assemble(".text\n    addq t0, 256, t1\n"), FatalError);
 }
 
+/** The FatalError message @p source raises (empty when none). */
+std::string
+asmErrorOf(const std::string &source)
+{
+    try {
+        assemble(source);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(AssemblerErrors, MemoryDisplacementOutOfRange)
+{
+    // A FatalError naming the line, not an encoder assertion.
+    const std::string msg =
+        asmErrorOf(".text\nmain: lda $1, 99999999999($31)\n");
+    EXPECT_NE(msg.find("asm line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("displacement"), std::string::npos) << msg;
+    EXPECT_FALSE(
+        asmErrorOf(".text\n    ldq t0, -32769(t1)\n").empty());
+    EXPECT_FALSE(asmErrorOf(".text\n    stq t0, 32768(t1)\n").empty());
+    // The edges still assemble.
+    EXPECT_NO_THROW(assemble(".text\n    ldq t0, -32768(t1)\n"
+                             "    stq t0, 32767(t1)\n"));
+}
+
+TEST(AssemblerErrors, LoadImmediateOutOfRange)
+{
+    const std::string msg =
+        asmErrorOf(".text\nmain:\n    li 0x7fffffffffffffff, t0\n");
+    EXPECT_NE(msg.find("asm line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("li immediate"), std::string::npos) << msg;
+    EXPECT_FALSE(asmErrorOf(".text\n    li 2147450880, t0\n").empty());
+    EXPECT_FALSE(asmErrorOf(".text\n    li -2147516417, t0\n").empty());
+    EXPECT_FALSE(
+        asmErrorOf(".text\n    li -9223372036854775808, t0\n").empty());
+    // Wider than 64 bits: rejected, not wrapped into range.
+    EXPECT_FALSE(
+        asmErrorOf(".text\n    li 18446744073709551617, t0\n").empty());
+    EXPECT_FALSE(
+        asmErrorOf(".text\n    ldq t0, 0x10000000000000000(t1)\n")
+            .empty());
+    // The representable extremes of the ldah/lda pair.
+    EXPECT_NO_THROW(assemble(".text\n    li 2147450879, t0\n"
+                             "    li -2147516416, t1\n"));
+}
+
+TEST(AssemblerErrors, BranchDisplacementOutOfRange)
+{
+    EXPECT_FALSE(asmErrorOf(".text\n    br zero, .+4194304\n").empty());
+    EXPECT_NO_THROW(assemble(".text\n    br zero, .+1048575\n"));
+}
+
+TEST(AssemblerErrors, CodewordFieldsOutOfRange)
+{
+    EXPECT_FALSE(asmErrorOf(".text\n    res0 2048, 0, 0, 0\n").empty());
+    EXPECT_FALSE(asmErrorOf(".text\n    res0 1, 32, 0, 0\n").empty());
+    EXPECT_NO_THROW(assemble(".text\n    res0 2047, 31, 31, 31\n"));
+}
+
 TEST(AssemblerErrors, DataDirectiveInText)
 {
     EXPECT_THROW(assemble(".text\n    .quad 1\n"), FatalError);

@@ -132,6 +132,21 @@ TEST(Compose, MergeRequiresTrailingTriggers)
     EXPECT_THROW(composeMerged(a, b), FatalError);
 }
 
+TEST(Compose, TaggedProductionsRejectedNotAsserted)
+{
+    // Production text comes from clients: composing explicit-tag
+    // patterns where that is unsupported is a FatalError.
+    const ProductionSet tagged = parseProductions("P1: op == res0 -> tag\n"
+                                                  "A: T.INSN\n");
+    const ProductionSet plain = parseProductions("P1: class == load -> R\n"
+                                                 "R: T.INSN\n");
+    const ProductionSet taggedLoads =
+        parseProductions("P1: class == load -> tag\nA: T.INSN\n");
+    EXPECT_THROW(composeMerged(tagged, plain), FatalError);
+    EXPECT_THROW(composeMerged(plain, tagged), FatalError);
+    EXPECT_THROW(composeNested(taggedLoads, plain), FatalError);
+}
+
 TEST(Compose, MergeKeepsDisjointProductions)
 {
     ProductionSet a = parseProductions("P1: class == load -> R1\n"

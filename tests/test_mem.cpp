@@ -292,7 +292,9 @@ struct RefLruCache
     };
     uint32_t numSets, assoc, lineBytes;
     std::vector<std::list<Line>> sets; // front = MRU, back = LRU
-    uint64_t accesses = 0, misses = 0, writebacks = 0;
+    uint64_t accesses = 0, writes = 0, misses = 0, writebacks = 0;
+    /** Next level: receives writebacks, then fills, as Cache does. */
+    RefLruCache *next = nullptr;
 
     RefLruCache(uint32_t sizeBytes, uint32_t assoc_, uint32_t lineBytes_)
         : numSets(sizeBytes / (lineBytes_ * assoc_)), assoc(assoc_),
@@ -304,6 +306,7 @@ struct RefLruCache
     access(Addr addr, bool write)
     {
         ++accesses;
+        writes += write;
         const uint64_t la = addr / lineBytes;
         auto &set = sets[la % numSets];
         const uint64_t tag = la / numSets;
@@ -316,10 +319,18 @@ struct RefLruCache
         }
         ++misses;
         if (set.size() == assoc) {
-            if (set.back().dirty)
+            if (set.back().dirty) {
                 ++writebacks;
+                if (next) {
+                    const uint64_t victim =
+                        set.back().tag * numSets + la % numSets;
+                    next->access(victim * lineBytes, true);
+                }
+            }
             set.pop_back();
         }
+        if (next)
+            next->access(addr, false);
         set.push_front({tag, write});
     }
 };
@@ -351,6 +362,110 @@ TEST(Cache, MruShortcutStatsMatchReferenceLru)
     EXPECT_EQ(cache.accesses(), ref.accesses);
     EXPECT_EQ(cache.misses(), ref.misses);
     EXPECT_EQ(cache.stats().get("writebacks"), ref.writebacks);
+}
+
+/** The counter names a StatGroup holds, in order. */
+std::vector<std::string>
+statKeys(const Cache &cache)
+{
+    std::vector<std::string> keys;
+    for (const auto &kv : cache.stats().counters())
+        keys.push_back(kv.first);
+    return keys;
+}
+
+/**
+ * The miss-path counters (L1 misses and writebacks, and the L2's
+ * accesses, writes, misses and writebacks that the L1 miss path drives
+ * through access()) bump cached cells; every count must match a
+ * two-level reference model, whether the L1 is driven through access()
+ * or the caller-accounted accessHot().
+ */
+TEST(Cache, MissPathCountersMatchTwoLevelReference)
+{
+    Cache l2(smallCache(8192, 4), nullptr, 100);
+    Cache l1(smallCache(2048, 2), &l2, 100);
+    RefLruCache refL2(8192, 4, 64);
+    RefLruCache refL1(2048, 2, 64);
+    refL1.next = &refL2;
+
+    std::mt19937_64 rng(0x5eed);
+    uint64_t hotAccesses = 0, hotWrites = 0;
+    for (int i = 0; i < 50000; ++i) {
+        const Addr addr = rng() % (32 * 1024);
+        const bool write = (rng() % 3) == 0;
+        if (i % 2 == 0) {
+            l1.access(addr, write);
+        } else {
+            l1.accessHot(addr, write);
+            ++hotAccesses;
+            hotWrites += write;
+        }
+        refL1.access(addr, write);
+    }
+
+    // accessHot leaves the L1's own per-access counters to its caller.
+    EXPECT_EQ(l1.accesses() + hotAccesses, refL1.accesses);
+    EXPECT_EQ(l1.stats().get("writes") + hotWrites, refL1.writes);
+    EXPECT_EQ(l1.misses(), refL1.misses);
+    EXPECT_EQ(l1.stats().get("writebacks"), refL1.writebacks);
+    EXPECT_EQ(l2.accesses(), refL2.accesses);
+    EXPECT_EQ(l2.stats().get("writes"), refL2.writes);
+    EXPECT_EQ(l2.misses(), refL2.misses);
+    EXPECT_EQ(l2.stats().get("writebacks"), refL2.writebacks);
+    ASSERT_GT(refL1.writebacks, 0u);
+    ASSERT_GT(refL2.writes, 0u);
+}
+
+TEST(Cache, LazyCellsKeepTheStatKeySet)
+{
+    // A key appears exactly when add() would have created it.
+    Cache l2(smallCache(8192, 4), nullptr, 100);
+    Cache l1(smallCache(1024, 2), &l2, 100);
+    for (Addr a = 0; a < 64 * 1024; a += 64)
+        l1.access(a, false); // misses, but never a dirty victim
+    EXPECT_EQ(statKeys(l1),
+              (std::vector<std::string>{"accesses", "misses"}));
+    EXPECT_EQ(statKeys(l2),
+              (std::vector<std::string>{"accesses", "misses"}));
+    l1.access(0, true);
+    l1.access(64 * 1024, false);       // same L1 set as line 0
+    l1.access(64 * 1024 + 512, false); // evicts the dirty line 0
+    EXPECT_EQ(statKeys(l1), (std::vector<std::string>{
+                                "accesses", "misses", "writebacks",
+                                "writes"}));
+    EXPECT_EQ(statKeys(l2), (std::vector<std::string>{
+                                "accesses", "misses", "writes"}));
+
+    // A perfect cache never misses, so it never grows a "misses" key.
+    Cache perfect(smallCache(0, 1), nullptr, 100);
+    for (Addr a = 0; a < 100; ++a)
+        perfect.access(a * 4096, a % 2 == 0);
+    EXPECT_EQ(statKeys(perfect),
+              (std::vector<std::string>{"accesses", "writes"}));
+    Cache hotOnly(smallCache(1024, 2), nullptr, 100);
+    hotOnly.accessHot(0, false);
+    EXPECT_EQ(statKeys(hotOnly), (std::vector<std::string>{"misses"}));
+}
+
+TEST(Cache, AdoptStateRebindsCells)
+{
+    // adoptState replaces the StatGroup, and with it the counter cells:
+    // bumps after the adopt must land in the adopted counters.
+    Cache a(smallCache(1024, 2), nullptr, 100);
+    Cache b(smallCache(1024, 2), nullptr, 100);
+    for (Addr addr = 0; addr < 8 * 1024; addr += 64)
+        b.access(addr, false); // b binds "accesses" and "misses"
+    for (Addr addr = 0; addr < 4 * 1024; addr += 64)
+        a.access(addr, true); // a's StatGroup holds four keys
+    b.adoptState(a);
+    EXPECT_EQ(b.stats().counters(), a.stats().counters());
+    b.access(1u << 20, true); // a miss with a dirty victim
+    EXPECT_EQ(b.accesses(), a.accesses() + 1);
+    EXPECT_EQ(b.misses(), a.misses() + 1);
+    EXPECT_EQ(b.stats().get("writes"), a.stats().get("writes") + 1);
+    EXPECT_EQ(b.stats().get("writebacks"),
+              a.stats().get("writebacks") + 1);
 }
 
 // ---- Copy-on-write forks and translation-cache coherence ----

@@ -205,5 +205,78 @@ TEST(ParserErrors, UnknownTargetSymbol)
                  FatalError);
 }
 
+/** The FatalError message @p text raises (empty when none). */
+std::string
+parseErrorOf(const std::string &text)
+{
+    try {
+        parseProductions(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ParserErrors, MemoryDisplacementOutOfRange)
+{
+    // No RT entry could hold the displacement: rejected at parse time,
+    // naming the line.
+    const std::string msg = parseErrorOf("P1: class == load -> R1\n"
+                                         "R1: lda $dr4, 99999999($dr4)\n"
+                                         "    T.INSN\n");
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("displacement"), std::string::npos) << msg;
+    EXPECT_FALSE(parseErrorOf("P1: class == load -> R1\n"
+                              "R1: ldah $dr4, -32769($dr4)\n"
+                              "    T.INSN\n")
+                     .empty());
+    EXPECT_NO_THROW(parseProductions("P1: class == load -> R1\n"
+                                     "R1: lda $dr4, -32768($dr4)\n"
+                                     "    ldah $dr4, 32767($dr4)\n"
+                                     "    T.INSN\n"));
+}
+
+TEST(ParserErrors, OperateLiteralOutOfRange)
+{
+    const std::string msg = parseErrorOf("P1: class == load -> R1\n"
+                                         "R1: T.INSN\n"
+                                         "    addq $dr1, 256, $dr1\n");
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+    EXPECT_FALSE(parseErrorOf("P1: class == load -> R1\n"
+                              "R1: T.INSN\n"
+                              "    addq $dr1, -1, $dr1\n")
+                     .empty());
+    EXPECT_NO_THROW(parseProductions("P1: class == load -> R1\n"
+                                     "R1: T.INSN\n"
+                                     "    addq $dr1, 255, $dr1\n"));
+}
+
+TEST(ParserErrors, DiseBranchDisplacementOutOfRange)
+{
+    EXPECT_FALSE(parseErrorOf("P1: class == load -> R1\n"
+                              "R1: dbr $dr1, 99999999\n"
+                              "    T.INSN\n")
+                     .empty());
+}
+
+TEST(ParserErrors, ExplicitSequenceIds)
+{
+    // Two names pinned to one id: a structured error, not an engine
+    // assertion.
+    EXPECT_FALSE(parseErrorOf("P1: class == load -> A@3\n"
+                              "A@3: T.INSN\n"
+                              "B@3: T.INSN\n")
+                     .empty());
+    EXPECT_FALSE(parseErrorOf("P1: class == load -> A@4294967295\n"
+                              "A@4294967295: T.INSN\n")
+                     .empty());
+    EXPECT_FALSE(parseErrorOf("P1: op == res0 -> tag 99999999999\n"
+                              "A: T.INSN\n")
+                     .empty());
+    EXPECT_NO_THROW(parseProductions("P1: class == load -> A@3\n"
+                                     "A@3: T.INSN\n"
+                                     "B@4: T.INSN\n"));
+}
+
 } // namespace
 } // namespace dise

@@ -273,6 +273,43 @@ TEST(RunRequest, RejectsUnknownKeysAndBadShapes)
     EXPECT_THROW(warmTiming.validate(), FatalError);
 }
 
+TEST(RunRequest, RejectsMachineGeometryTheSimulatorCannotBuild)
+{
+    // Each of these once reached a DISE_ASSERT (or a wild allocation)
+    // in the engine or cache constructors.
+    const auto bad = [](const char *key, uint64_t value) {
+        Json doc = Json::object();
+        doc["workload"] = Json(std::string("gzip"));
+        doc["mfi"] = Json(true);
+        doc[key] = Json(value);
+        EXPECT_THROW(RunRequest::fromJson(doc), FatalError)
+            << key << " = " << value;
+    };
+    bad("rt_entries", 3);              // 3 % 2 != 0
+    bad("rt_entries", 24);             // 12 sets: not a power of two
+    bad("rt_entries", 1ull << 30);     // past kMaxRtEntries
+    bad("rt_entries", (1ull << 32) + 8); // would truncate to 8
+    bad("icache_kb", 3);
+    bad("icache_kb", 1u << 20);
+    bad("width", 1ull << 32);
+
+    RunRequest noAssoc;
+    noAssoc.workload = "gzip";
+    noAssoc.dise.rtEntries = 8;
+    noAssoc.dise.rtAssoc = 0;
+    EXPECT_THROW(noAssoc.validate(), FatalError);
+
+    RunRequest fine;
+    fine.workload = "gzip";
+    fine.dise.rtEntries = 0; // perfect RT
+    fine.icacheKB = 0;       // perfect I-cache
+    EXPECT_NO_THROW(fine.validate());
+    fine.dise.rtEntries = 2048;
+    fine.dise.rtAssoc = 2;
+    fine.icacheKB = 128;
+    EXPECT_NO_THROW(fine.validate());
+}
+
 // ---- SimSession ----
 
 std::vector<RunRequest>

@@ -17,7 +17,9 @@
 #include "src/common/logging.hpp"
 #include "src/common/stats.hpp"
 #include "src/pipeline/pipeline.hpp"
+#include "src/service/runner.hpp"
 #include "src/service/session.hpp"
+#include "src/sim/snapshot.hpp"
 #include "src/workloads/workloads.hpp"
 
 namespace dise {
@@ -114,19 +116,27 @@ drainViaStep(ExecCore &core)
     return out;
 }
 
+/**
+ * The feed's records must equal step()'s. Batches that stop mid-block
+ * re-enter the stopped block through the resume cursor, so the feed
+ * also translates exactly the blocks a functional run() does.
+ */
 void
 expectSameStream(const Program &prog, bool mfi, size_t ringCap)
 {
-    std::unique_ptr<DiseController> cf, cs;
+    std::unique_ptr<DiseController> cf, cs, cr;
     if (mfi) {
         cf = mfiController(prog);
         cs = mfiController(prog);
+        cr = mfiController(prog);
     }
     ExecCore feed(prog, cf.get());
     ExecCore step(prog, cs.get());
+    ExecCore ran(prog, cr.get());
     if (mfi) {
         initMfiRegisters(feed, prog);
         initMfiRegisters(step, prog);
+        initMfiRegisters(ran, prog);
     }
     const std::vector<DynInst> a = drainViaFill(feed, ringCap);
     const std::vector<DynInst> b = drainViaStep(step);
@@ -138,6 +148,10 @@ expectSameStream(const Program &prog, bool mfi, size_t ringCap)
     }
     EXPECT_EQ(feed.result().dynInsts, step.result().dynInsts);
     EXPECT_EQ(feed.result().outcome, step.result().outcome);
+    ran.run();
+    EXPECT_EQ(feed.traceCacheStats().blocksTranslated,
+              ran.traceCacheStats().blocksTranslated);
+    EXPECT_GT(feed.traceCacheStats().cursorResumes, 0u);
 }
 
 TEST(TraceFeed, FillMatchesStepPlain)
@@ -151,6 +165,210 @@ TEST(TraceFeed, FillMatchesStepMfi)
     // ring-full exits; a sequence must never be torn.
     expectSameStream(mixedProgramWithHelper(300), true, 3);
     expectSameStream(mixedProgramWithHelper(300), true, 64);
+}
+
+// ---------------------------------------------------------------------
+// Resume cursor: batches that stop mid-block re-enter the same block.
+// ---------------------------------------------------------------------
+
+TEST(TraceFeed, CursorFillMatchesStepOnProfiles)
+{
+    for (const char *name :
+         {"bzip2", "crafty", "gzip", "mcf", "twolf", "vpr"}) {
+        const Program prog =
+            buildWorkload(scaledSpec(workloadSpec(name), 0.02));
+        for (const bool mfi : {false, true}) {
+            for (const size_t cap : {size_t(1), size_t(7), size_t(64)}) {
+                SCOPED_TRACE(strFormat("%s%s cap %zu", name,
+                                       mfi ? " mfi:dise3" : "", cap));
+                expectSameStream(prog, mfi, cap);
+            }
+        }
+    }
+}
+
+/**
+ * A long straight-line loop body (one block per iteration) with a load
+ * and a store MFI can expand: a 7-record batch always stops mid-block.
+ */
+Program
+straightLineLoop()
+{
+    return assemble(".text\nmain:\n    laq buf, t5\n    li 100000, t0\n"
+                    "loop:\n"
+                    "    addq t1, 1, t1\n"
+                    "    addq t2, t1, t2\n"
+                    "    xor t3, t2, t3\n"
+                    "    ldq t4, 0(t5)\n"
+                    "    addq t4, t3, t4\n"
+                    "    stq t4, 0(t5)\n"
+                    "    sll t1, 3, t6\n"
+                    "    or t6, t2, t7\n"
+                    "    subq t7, t1, t7\n"
+                    "    cmpult t7, t2, t8\n"
+                    "    subq t0, 1, t0\n"
+                    "    bne t0, loop\n" +
+                    std::string(kEpilogue) + ".data\nbuf:\n    .quad 1\n");
+}
+
+/**
+ * The translated feed and a trace-cache-off twin driven through the
+ * same calls: the twin's fillTrace is step() straight into the ring,
+ * so every batch must match it record for record.
+ */
+struct CursorPair
+{
+    explicit CursorPair(const Program &p)
+        : prog(p), cf(std::make_unique<DiseController>(DiseConfig{})),
+          cr(std::make_unique<DiseController>(DiseConfig{})),
+          feed(prog, cf.get()), ref(prog, cr.get())
+    {
+        ref.setTraceCacheEnabled(false);
+        initMfiRegisters(feed, prog);
+        initMfiRegisters(ref, prog);
+    }
+
+    /** One batch on both cores; the records must agree. */
+    void
+    fillBoth(size_t cap)
+    {
+        std::vector<DynInst> a(cap), b(cap);
+        const size_t na = feed.fillTrace(a.data(), cap);
+        const size_t nb = ref.fillTrace(b.data(), cap);
+        ASSERT_EQ(na, nb);
+        ASSERT_EQ(na, cap);
+        for (size_t i = 0; i < na; ++i) {
+            ASSERT_TRUE(sameRecord(a[i], b[i]))
+                << "record " << i << " pc 0x" << std::hex << a[i].pc
+                << " vs 0x" << b[i].pc;
+        }
+    }
+
+    uint64_t resumes() const
+    {
+        return feed.traceCacheStats().cursorResumes;
+    }
+
+    const Program &prog;
+    std::unique_ptr<DiseController> cf, cr;
+    ExecCore feed, ref;
+};
+
+/** Rewrite the text word at @p addr on @p core (decoders flushed). */
+void
+patchText(ExecCore &core, Addr addr, Word w)
+{
+    core.memory().write(addr, w, 4);
+    core.invalidateDecodeCache();
+}
+
+/** The encoding of one instruction. */
+Word
+encodeOne(const std::string &inst)
+{
+    return assemble(".text\nmain:\n    " + inst + "\n").text.at(0);
+}
+
+TEST(TraceFeed, CursorResumesWhenNothingChanged)
+{
+    const Program prog = straightLineLoop();
+    CursorPair p(prog);
+    p.fillBoth(7);
+    const uint64_t before = p.resumes();
+    for (int i = 0; i < 20; ++i)
+        p.fillBoth(7);
+    EXPECT_EQ(p.resumes(), before + 20);
+}
+
+TEST(TraceFeed, CursorDroppedOnProductionInstall)
+{
+    // The loop block runs untransformed, then MFI is installed between
+    // two batches that split the block: a stale re-entry would run the
+    // block's load and store without their expansions.
+    const Program prog = straightLineLoop();
+    CursorPair p(prog);
+    p.fillBoth(7);
+    p.fillBoth(7);
+    const uint64_t before = p.resumes();
+    const auto set = std::make_shared<const ProductionSet>(
+        makeMfiProductions(prog, MfiOptions{}));
+    p.cf->install(set);
+    p.cr->install(set);
+    p.fillBoth(7);
+    EXPECT_EQ(p.resumes(), before);
+    for (int i = 0; i < 20; ++i)
+        p.fillBoth(7);
+}
+
+TEST(TraceFeed, CursorDroppedOnTextStore)
+{
+    // Rewrite every word of the loop body between two batches: the
+    // stopped block's remaining slots are all stale.
+    const Program prog = straightLineLoop();
+    CursorPair p(prog);
+    p.fillBoth(7);
+    p.fillBoth(7);
+    const uint64_t before = p.resumes();
+    const Addr loop = prog.symbols.at("loop");
+    const Word w = encodeOne("addq t9, 7, t9");
+    for (Addr a = loop; a < loop + 11 * 4; a += 4) {
+        patchText(p.feed, a, w);
+        patchText(p.ref, a, w);
+    }
+    p.fillBoth(7);
+    EXPECT_EQ(p.resumes(), before);
+    for (int i = 0; i < 20; ++i)
+        p.fillBoth(7);
+}
+
+TEST(TraceFeed, CursorDroppedOnRestoreSnapshot)
+{
+    // Restore a snapshot taken at the cursor's own PC but holding
+    // different text: the PC matches, the epoch does not.
+    const Program prog = straightLineLoop();
+    CursorPair p(prog);
+    p.fillBoth(7);
+    p.fillBoth(7);
+    ASSERT_TRUE(p.feed.atAppBoundary());
+    const uint64_t before = p.resumes();
+    SimSnapshot snap;
+    p.feed.saveSnapshot(snap);
+    const Addr loop = prog.symbols.at("loop");
+    const Word w = encodeOne("addq t9, 7, t9");
+    for (Addr a = loop; a < loop + 11 * 4; a += 4)
+        snap.memory.write(a, w, 4);
+    p.feed.restoreSnapshot(snap);
+    p.ref.restoreSnapshot(snap);
+    ASSERT_EQ(p.feed.pc(), p.ref.pc());
+    p.fillBoth(7);
+    EXPECT_EQ(p.resumes(), before);
+    for (int i = 0; i < 20; ++i)
+        p.fillBoth(7);
+}
+
+TEST(TraceFeed, CursorDroppedOnEviction)
+{
+    // With a one-block cap, a dispatcher lookup between two batches
+    // evicts (and, at the next fill, frees) the stopped block. One
+    // whole iteration brings pc_ back to the cursor's PC, so only the
+    // epoch stamp keeps the feed out of the freed block.
+    const Program prog = straightLineLoop();
+    CursorPair p(prog);
+    for (int i = 0; i < 3; ++i)
+        p.fillBoth(7);
+    const Addr stopped = p.feed.pc();
+    const uint64_t before = p.resumes();
+    const uint64_t evictions = p.feed.traceCacheStats().evictions;
+    p.feed.setTraceBlockCap(1);
+    const uint64_t iter = 12; // loop body length
+    p.feed.advanceToAppInst(p.feed.result().appInsts + iter);
+    p.ref.advanceToAppInst(p.ref.result().appInsts + iter);
+    ASSERT_EQ(p.feed.pc(), stopped);
+    EXPECT_GT(p.feed.traceCacheStats().evictions, evictions);
+    p.fillBoth(7);
+    EXPECT_EQ(p.resumes(), before);
+    for (int i = 0; i < 20; ++i)
+        p.fillBoth(7);
 }
 
 // ---------------------------------------------------------------------

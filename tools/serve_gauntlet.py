@@ -16,8 +16,12 @@ on the first broken promise:
    deadline-busting requests mixed in. Every line must get exactly one
    structured response (ok / overloaded / deadline_exceeded /
    malformed / error), the daemon must shed some of the burst with
-   "overloaded" (proof admission control engaged), and a final
-   well-formed request must still succeed (proof nothing crashed).
+   "overloaded" (proof admission control engaged). Then hostile inline
+   `source` and `productions` (literals no encoding can hold, clashing
+   sequence ids, tagged productions composed where tags cannot be) and
+   machine geometry the simulator cannot build must each be answered
+   with a structured "error", and a final well-formed request must
+   still succeed (proof nothing crashed).
 3. Drain: SIGTERM must terminate the process with exit code 0 within
    the drain timeout plus a small margin.
 
@@ -163,6 +167,37 @@ def gauntlet_line(i):
     }, "good"
 
 
+# Client input that once tripped internal assertions (a PanicError takes
+# the whole daemon down): each must come back as a structured "error".
+HOSTILE_LINES = [
+    {"id": "hostile-disp",
+     "source": ".text\nmain: lda $1, 99999999999($31)\n"},
+    {"id": "hostile-li",
+     "source": ".text\nmain:\n    li 0x7fffffffffffffff, t0\n"},
+    {"id": "hostile-branch",
+     "source": ".text\nmain:\n    br zero, .+99999999\n"},
+    {"id": "hostile-codeword",
+     "source": ".text\nmain:\n    res0 99999, 0, 0, 0\n"},
+    {"id": "hostile-dsl-disp", "workload": "twolf", "max_insts": 1000,
+     "productions": "P1: class == load -> R1\n"
+                    "R1: lda $dr4, 99999999($dr4)\n    T.INSN\n"},
+    {"id": "hostile-dsl-literal", "workload": "twolf", "max_insts": 1000,
+     "productions": "P1: class == load -> R1\n"
+                    "R1: T.INSN\n    addq $dr1, 4096, $dr1\n"},
+    {"id": "hostile-dsl-ids", "workload": "twolf", "max_insts": 1000,
+     "productions": "P1: class == load -> A@3\n"
+                    "A@3: T.INSN\nB@3: T.INSN\n"},
+    {"id": "hostile-compose", "workload": "twolf", "max_insts": 1000,
+     "acfs": [{"kind": "mfi"},
+              {"kind": "productions", "compose": "merged"}],
+     "productions": "P1: op == res0 -> tag\nA: T.INSN\n"},
+    {"id": "hostile-rt", "workload": "twolf", "max_insts": 1000,
+     "mfi": True, "rt_entries": 3, "rt_assoc": 2},
+    {"id": "hostile-icache", "workload": "twolf", "max_insts": 1000,
+     "mode": "timing", "icache_kb": 3},
+]
+
+
 def phase_gauntlet(port, burst):
     client = NdjsonClient(port)
     sent = 0
@@ -187,6 +222,15 @@ def phase_gauntlet(port, burst):
         fail(f"well-formed burst produced unexpected errors "
              f"(statuses: {statuses})")
 
+    # Hostile programs and productions, one at a time (closed loop, so
+    # admission control cannot shed them).
+    for line in HOSTILE_LINES:
+        client.send(line)
+        resp = client.recv()
+        if resp.get("status") != "error":
+            fail(f"hostile request {line['id']!r} answered "
+                 f"{resp.get('status')!r}, want a structured error")
+
     # The daemon must still serve cleanly after the storm.
     client.send({"id": "survivor", "workload": "twolf",
                  "max_insts": 12345})
@@ -199,7 +243,8 @@ def phase_gauntlet(port, burst):
         fail("stats request failed after the burst")
     client.close()
     print(f"gauntlet: burst OK (statuses: "
-          f"{json.dumps(statuses, sort_keys=True)})")
+          f"{json.dumps(statuses, sort_keys=True)}; "
+          f"{len(HOSTILE_LINES)} hostile requests rejected)")
 
 
 def main():

@@ -22,8 +22,9 @@ Three artifact shapes are accepted:
 
 --compare checks two artifacts for determinism: they must be deeply
 identical after recursively stripping every host-dependent section
-("host", "host_seconds"), the campaign "replay" accounting (which
-legitimately differs between snapshot and full-replay modes), and the
+("host", "host_seconds", "blocks_translated"), the campaign "replay"
+accounting (which legitimately differs between snapshot and
+full-replay modes), and the
 "sampling" sections (so sampled artifacts compare against full-detail
 reruns on the architectural stream they must share) — wall-clock
 throughput, replay economics, and sampling windows are the only fields
@@ -157,6 +158,14 @@ def check_host_section(entry, where):
         host["insts_per_second"] >= 0,
         f"{where}.host: negative insts_per_second",
     )
+    # Trace-cache work counter (bench_sim_throughput entries).
+    if "blocks_translated" in host:
+        require(
+            isinstance(host["blocks_translated"], int)
+            and host["blocks_translated"] >= 0,
+            f"{where}.host: blocks_translated is not a non-negative "
+            "integer",
+        )
 
 
 def check_sampling_section(entry, where):
@@ -452,8 +461,10 @@ def validate_file(path):
 # of the same jobs on everything they are required to agree on (the
 # architectural stream); sampled-vs-sampled determinism of the section
 # itself is covered by the test suite.
-HOST_KEYS = {"host", "host_seconds", "replay", "latency", "open_loop",
-             "sampling"}
+# "blocks_translated" lives in the host section; it is named here too so
+# it is stripped wherever it appears.
+HOST_KEYS = {"host", "host_seconds", "blocks_translated", "replay",
+             "latency", "open_loop", "sampling"}
 
 
 def strip_host(value):
