@@ -29,6 +29,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -47,7 +48,9 @@ using namespace dise::bench;
 
 namespace {
 
-/** Blocking NDJSON client on one loopback connection. */
+/** Blocking NDJSON client on one loopback connection. Nagle is off
+ *  so the open loop's pipelined sends measure the server, not a
+ *  client-side wait for the server's delayed ACK. */
 class LoadClient
 {
   public:
@@ -63,6 +66,8 @@ class LoadClient
         if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
                       sizeof(addr)) != 0)
             fatal("loadgen: connect() failed");
+        const int one = 1;
+        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
 
     ~LoadClient()

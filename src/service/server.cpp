@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -19,12 +20,13 @@ namespace dise {
 
 namespace {
 
-uint64_t
+/** Milliseconds since @p since, at microsecond resolution. */
+double
 elapsedMs(std::chrono::steady_clock::time_point since)
 {
-    return uint64_t(std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - since)
-                        .count());
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - since);
+    return double(us.count()) / 1000.0;
 }
 
 constexpr auto kNoDeadline =
@@ -326,6 +328,14 @@ SimServer::listenerLoop()
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
+        if (unixPath_.empty()) {
+            // respond() writes each line in one send() loop, so Nagle
+            // coalesces nothing; it only holds a pipelined response
+            // until the client's delayed ACK arrives. Unix sockets
+            // have no Nagle.
+            const int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        }
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
         {
@@ -645,9 +655,11 @@ SimServer::executeJob(const std::shared_ptr<Job> &job)
                 // A cancel-tripped run carries a truncated result
                 // (outcome Hang at wherever the flag was noticed);
                 // throwing keeps it out of the cache — retryFailures
-                // means the key stays clean for in-budget retries.
+                // means the key stays clean for in-budget retries. An
+                // expected outcome, so thrown directly: fatal() would
+                // log it to the daemon's stderr.
                 if (job->cancel.load(std::memory_order_relaxed))
-                    fatal("deadline exceeded during execution");
+                    throw FatalError("deadline exceeded during execution");
                 return r.toJson().dump();
             });
         if (job->cancel.load(std::memory_order_relaxed)) {

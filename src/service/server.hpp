@@ -23,7 +23,8 @@
  * number on that connection) and carrying "status":
  *
  *   - "ok"                the run's RunResponse fields, plus
- *                         "latency_ms" (admission to response)
+ *                         "latency_ms" (admission to response, in
+ *                         fractional milliseconds)
  *   - "error"             the request was structurally valid JSON but
  *                         failed validation or execution (FatalError);
  *                         carries ok=false and the error text

@@ -1,22 +1,30 @@
 /**
  * @file
- * SimServer tests, driven in-process over loopback TCP: NDJSON
- * request/response exchange, the full status taxonomy (ok, error,
- * malformed, oversized, deadline_exceeded, overloaded, shutting_down),
- * idempotent result caching, bit-identity with SimSession::run, and
- * graceful drain. A small blocking client wraps the raw socket; every
- * test starts its own ephemeral-port server and shuts it down.
+ * SimServer tests, driven in-process over loopback TCP and one unix
+ * socket: NDJSON request/response exchange, the full status taxonomy
+ * (ok, error, malformed, oversized, deadline_exceeded, overloaded,
+ * shutting_down), idempotent result caching, bit-identity with
+ * SimSession::run, graceful drain, pipelined replies that do not wait
+ * on a delayed ACK, and the unix-socket listener's file handling. A
+ * small blocking client wraps the raw socket; every test starts its
+ * own server and shuts it down.
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,10 +37,12 @@
 namespace dise {
 namespace {
 
-/** Blocking NDJSON client for one loopback connection. */
+/** Blocking NDJSON client for one loopback or unix-socket connection. */
 class Client
 {
   public:
+    /** Loopback TCP. Nagle is off on the client's writes too, so any
+     *  stall a test sees is the server's. */
     explicit Client(int port)
     {
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -45,6 +55,23 @@ class Client
         if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
                       sizeof(addr)) != 0)
             fatal("client: connect() failed");
+        const int one = 1;
+        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
+
+    /** The unix-domain socket at @p path. */
+    explicit Client(const std::string &path)
+    {
+        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (fd_ < 0)
+            fatal("client: socket() failed");
+        sockaddr_un addr = {};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)) != 0)
+            fatal("client: connect(" + path + ") failed");
     }
 
     ~Client() { close(); }
@@ -129,6 +156,14 @@ runReq(const std::string &id, const std::string &workload = "twolf")
     return doc;
 }
 
+std::string
+statsLine()
+{
+    Json doc = Json::object();
+    doc["kind"] = Json(std::string("stats"));
+    return doc.dump();
+}
+
 /** Strip the serving envelope and host-dependent fields, leaving
  *  exactly what `diserun --batch` would have produced for the job. */
 Json
@@ -206,9 +241,7 @@ TEST(SimServer, RunStatsAndErrorStatuses)
     EXPECT_NE(rejected["error"].asString().find("frobnicate"),
               std::string::npos);
 
-    Json stats = Json::object();
-    stats["kind"] = Json(std::string("stats"));
-    client.sendLine(stats);
+    client.sendLine(statsLine());
     Json live = client.readSeq(5);
     EXPECT_EQ(live["status"].asString(), "ok");
     EXPECT_EQ(live["stats"]["server"]["status_ok"].asUInt(), 1u);
@@ -278,9 +311,7 @@ TEST(SimServer, ResultCacheIsBoundedWithLruEviction)
     client.sendLine(second);
     EXPECT_EQ(client.readSeq(2)["status"].asString(), "ok");
 
-    Json stats = Json::object();
-    stats["kind"] = Json(std::string("stats"));
-    client.sendLine(stats);
+    client.sendLine(statsLine());
     Json live = client.readSeq(3);
     EXPECT_LE(live["stats"]["server"]["result_cache_entries"].asUInt(),
               1u);
@@ -340,9 +371,7 @@ TEST(SimServer, IdenticalRequestsHitTheResultCache)
     EXPECT_EQ(stripEnvelope(first)["run"].dump(),
               stripEnvelope(second)["run"].dump());
 
-    Json stats = Json::object();
-    stats["kind"] = Json(std::string("stats"));
-    client.sendLine(stats);
+    client.sendLine(statsLine());
     Json live = client.readSeq(3);
     EXPECT_GE(live["stats"]["server"]["cache_hits"].asUInt(), 1u);
 }
@@ -451,6 +480,71 @@ TEST(SimServer, ManyClientsConcurrently)
         t.join();
     for (int c = 1; c < 4; ++c)
         EXPECT_EQ(runs[size_t(c)], runs[0]);
+}
+
+TEST(SimServer, PipelinedRepliesDoNotWaitForDelayedAck)
+{
+    ServerFixture fx;
+    Client client(fx.server.port());
+
+    // Two requests in one segment: the second reply is sent while the
+    // first is still unacknowledged. With Nagle on, the kernel holds it
+    // until the client's delayed ACK (~40 ms on Linux), so 25 rounds
+    // would take about a second; with TCP_NODELAY each round is well
+    // under a millisecond of server work.
+    const std::string stats = statsLine();
+    const int rounds = 25;
+    const auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < rounds; ++r) {
+        client.sendLine(stats + "\n" + stats);
+        EXPECT_EQ(client.readSeq(uint64_t(2 * r + 1))["status"].asString(),
+                  "ok");
+        EXPECT_EQ(client.readSeq(uint64_t(2 * r + 2))["status"].asString(),
+                  "ok");
+    }
+    const auto elapsed = std::chrono::duration_cast<
+        std::chrono::milliseconds>(std::chrono::steady_clock::now() - start);
+    EXPECT_LT(elapsed.count(), 500) << rounds << " rounds took "
+                                    << elapsed.count() << " ms";
+}
+
+TEST(SimServer, UnixSocketListenerReplacesStaleFileAndUnlinks)
+{
+    const std::string path = ::testing::TempDir() + "dise_test_server_" +
+                             std::to_string(::getpid()) + ".sock";
+    {
+        // A leftover from a server that died without cleaning up.
+        std::ofstream stale(path);
+        stale << "stale";
+    }
+    struct stat st = {};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    ASSERT_TRUE(S_ISREG(st.st_mode));
+
+    ServerConfig config;
+    config.listen = "unix:" + path;
+    SimServer server(config);
+    server.start();
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISSOCK(st.st_mode));
+
+    {
+        Client client(path);
+        client.sendLine(runReq("over-unix"));
+        Json ok = client.readSeq(1);
+        EXPECT_EQ(ok["status"].asString(), "ok");
+        EXPECT_EQ(ok["id"].asString(), "over-unix");
+        EXPECT_GT(ok["run"]["dyn_insts"].asUInt(), 0u);
+        client.sendLine(statsLine());
+        Json live = client.readSeq(2);
+        EXPECT_EQ(live["status"].asString(), "ok");
+        EXPECT_EQ(live["stats"]["server"]["status_ok"].asUInt(), 1u);
+    }
+
+    server.requestShutdown();
+    EXPECT_EQ(server.wait(), 0);
+    EXPECT_NE(::stat(path.c_str(), &st), 0);
+    EXPECT_EQ(errno, ENOENT);
 }
 
 } // namespace dise
