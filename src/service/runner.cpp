@@ -186,8 +186,11 @@ takeWarmupSnapshot(const PreparedJob &job, uint64_t warmupAppInsts,
     if (job.initCore)
         job.initCore(core);
     core.advanceToAppInst(warmupAppInsts);
+    // A deadline can cancel the warm-up: an expected outcome the caller
+    // reports, so thrown directly (fatal() would log it to stderr).
     if (core.cancelRequested())
-        fatal("warmup snapshot cancelled before reaching its target");
+        throw FatalError("warmup snapshot cancelled before reaching its "
+                         "target");
     // A clean exit during warmup is fine — the snapshot degenerates to
     // the finished run. A trap is not: the guest broke before the
     // warmup point, and resuming a trapped core would silently report

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "src/common/bits.hpp"
 #include "src/common/logging.hpp"
 #include "src/isa/disasm.hpp"
+#include "src/sim/semantics.hpp"
 #include "src/sim/snapshot.hpp"
 
 namespace dise {
@@ -16,7 +16,7 @@ constexpr size_t kMaxBlockLen = 128;
 
 /**
  * Map an opcode to its flat interpreter handler (writing the access
- * size for memory ops); OpHandler::NUM when the opcode is outside the
+ * size for stores); OpHandler::NUM when the opcode is outside the
  * translated repertoire (syscalls, codewords, reserved/invalid
  * encodings). Shared by block and replacement-sequence translation so
  * the two interpreters agree on the repertoire.
@@ -26,32 +26,16 @@ baseHandler(Opcode op, uint8_t &size)
 {
     switch (op) {
       case Opcode::NOP: return OpHandler::Nop;
-      case Opcode::LDA: return OpHandler::Lda;
-      case Opcode::LDAH: return OpHandler::Ldah;
-      case Opcode::ADDQ: return OpHandler::Addq;
-      case Opcode::SUBQ: return OpHandler::Subq;
-      case Opcode::MULQ: return OpHandler::Mulq;
-      case Opcode::AND: return OpHandler::And;
-      case Opcode::BIC: return OpHandler::Bic;
-      case Opcode::OR: return OpHandler::Or;
-      case Opcode::ORNOT: return OpHandler::Ornot;
-      case Opcode::XOR: return OpHandler::Xor;
-      case Opcode::SLL: return OpHandler::Sll;
-      case Opcode::SRL: return OpHandler::Srl;
-      case Opcode::SRA: return OpHandler::Sra;
-      case Opcode::CMPEQ: return OpHandler::Cmpeq;
-      case Opcode::CMPLT: return OpHandler::Cmplt;
-      case Opcode::CMPLE: return OpHandler::Cmple;
-      case Opcode::CMPULT: return OpHandler::Cmpult;
-      case Opcode::CMPULE: return OpHandler::Cmpule;
-      case Opcode::CMOVEQ: return OpHandler::Cmoveq;
-      case Opcode::CMOVNE: return OpHandler::Cmovne;
-      case Opcode::LDBU: size = 1; return OpHandler::Ldbu;
-      case Opcode::LDL: size = 4; return OpHandler::Ldl;
-      case Opcode::LDQ: size = 8; return OpHandler::Ldq;
-      case Opcode::STB: size = 1; return OpHandler::Store;
-      case Opcode::STL: size = 4; return OpHandler::Store;
-      case Opcode::STQ: size = 8; return OpHandler::Store;
+#define DISE_HANDLER_CASE(name, OP, ...)                                    \
+      case Opcode::OP: return OpHandler::name;
+      DISE_ADDR_OPS(DISE_HANDLER_CASE)
+      DISE_ALU_OPS(DISE_HANDLER_CASE)
+      DISE_CMOV_OPS(DISE_HANDLER_CASE)
+      DISE_LOAD_OPS(DISE_HANDLER_CASE)
+#undef DISE_HANDLER_CASE
+      case Opcode::STB: case Opcode::STL: case Opcode::STQ:
+        size = static_cast<uint8_t>(storeSize(op));
+        return OpHandler::Store;
       case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
       case Opcode::BLE: case Opcode::BGT: case Opcode::BGE:
       case Opcode::BLBC: case Opcode::BLBS:
@@ -364,30 +348,23 @@ ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
     switch (inst.op) {
       case Opcode::NOP:
         break;
-      case Opcode::LDA:
-        writeReg(inst.ra,
-                 readReg(inst.rb) + static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::LDAH:
-        writeReg(inst.ra, readReg(inst.rb) +
-                              (static_cast<uint64_t>(inst.imm) << 16));
-        break;
-      case Opcode::LDBU:
-      case Opcode::LDL:
-      case Opcode::LDQ: {
+#define DISE_EXEC_ADDR(name, OP, expr)                                      \
+      case Opcode::OP: {                                                    \
+        const uint64_t base = readReg(inst.rb);                             \
+        const uint64_t disp = static_cast<uint64_t>(inst.imm);              \
+        writeReg(inst.ra, expr);                                            \
+        break;                                                              \
+      }
+      DISE_ADDR_OPS(DISE_EXEC_ADDR)
+#undef DISE_EXEC_ADDR
+#define DISE_EXEC_LOAD(name, OP) case Opcode::OP:
+      DISE_LOAD_OPS(DISE_EXEC_LOAD)
+#undef DISE_EXEC_LOAD
+      {
         dyn.isMem = true;
         dyn.memAddr = readReg(inst.rb) + static_cast<uint64_t>(inst.imm);
         ++result_.loads;
-        uint64_t value;
-        if (inst.op == Opcode::LDBU) {
-            value = memory_.read(dyn.memAddr, 1);
-        } else if (inst.op == Opcode::LDL) {
-            value = static_cast<uint64_t>(
-                signExtend(memory_.read(dyn.memAddr, 4), 32));
-        } else {
-            value = memory_.read(dyn.memAddr, 8);
-        }
-        writeReg(inst.ra, value);
+        writeReg(inst.ra, loadValue(memory_, inst.op, dyn.memAddr));
         break;
       }
       case Opcode::STB:
@@ -397,8 +374,7 @@ ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
         dyn.isStore = true;
         dyn.memAddr = readReg(inst.rb) + static_cast<uint64_t>(inst.imm);
         ++result_.stores;
-        const unsigned size =
-            inst.op == Opcode::STB ? 1 : (inst.op == Opcode::STL ? 4 : 8);
+        const unsigned size = storeSize(inst.op);
         memory_.write(dyn.memAddr, vA, size);
         // Self-modifying code: drop stale pre-decoded words.
         if (dyn.memAddr < prog_.textEnd() &&
@@ -432,67 +408,19 @@ ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
       case Opcode::SYSCALL:
         doSyscall(dyn);
         break;
-      case Opcode::ADDQ:
-        writeReg(inst.rc, vA + vB);
+#define DISE_EXEC_ALU(name, OP, expr)                                       \
+      case Opcode::OP:                                                      \
+        writeReg(inst.rc, expr);                                            \
         break;
-      case Opcode::SUBQ:
-        writeReg(inst.rc, vA - vB);
+      DISE_ALU_OPS(DISE_EXEC_ALU)
+#undef DISE_EXEC_ALU
+#define DISE_EXEC_CMOV(name, OP, cond)                                      \
+      case Opcode::OP:                                                      \
+        if (cond)                                                           \
+            writeReg(inst.rc, vB);                                          \
         break;
-      case Opcode::MULQ:
-        writeReg(inst.rc, vA * vB);
-        break;
-      case Opcode::AND:
-        writeReg(inst.rc, vA & vB);
-        break;
-      case Opcode::BIC:
-        writeReg(inst.rc, vA & ~vB);
-        break;
-      case Opcode::OR:
-        writeReg(inst.rc, vA | vB);
-        break;
-      case Opcode::ORNOT:
-        writeReg(inst.rc, vA | ~vB);
-        break;
-      case Opcode::XOR:
-        writeReg(inst.rc, vA ^ vB);
-        break;
-      case Opcode::SLL:
-        writeReg(inst.rc, vA << (vB & 63));
-        break;
-      case Opcode::SRL:
-        writeReg(inst.rc, vA >> (vB & 63));
-        break;
-      case Opcode::SRA:
-        writeReg(inst.rc, static_cast<uint64_t>(
-                              static_cast<int64_t>(vA) >> (vB & 63)));
-        break;
-      case Opcode::CMPEQ:
-        writeReg(inst.rc, vA == vB ? 1 : 0);
-        break;
-      case Opcode::CMPLT:
-        writeReg(inst.rc,
-                 static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1
-                                                                     : 0);
-        break;
-      case Opcode::CMPLE:
-        writeReg(inst.rc,
-                 static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                      : 0);
-        break;
-      case Opcode::CMPULT:
-        writeReg(inst.rc, vA < vB ? 1 : 0);
-        break;
-      case Opcode::CMPULE:
-        writeReg(inst.rc, vA <= vB ? 1 : 0);
-        break;
-      case Opcode::CMOVEQ:
-        if (vA == 0)
-            writeReg(inst.rc, vB);
-        break;
-      case Opcode::CMOVNE:
-        if (vA != 0)
-            writeReg(inst.rc, vB);
-        break;
+      DISE_CMOV_OPS(DISE_EXEC_CMOV)
+#undef DISE_EXEC_CMOV
       case Opcode::DBEQ: case Opcode::DBNE: case Opcode::DBLT:
       case Opcode::DBGE:
         dyn.taken = condTaken(inst.op, vA);
@@ -589,26 +517,7 @@ ExecCore::executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn)
         const uint64_t vA = readReg(fz.ra);
         const uint64_t vB =
             fz.useLit ? static_cast<uint64_t>(f.lit) : readReg(fz.rb);
-        uint64_t r;
-        switch (f.cmpOp) {
-          case Opcode::CMPEQ:
-            r = vA == vB ? 1 : 0;
-            break;
-          case Opcode::CMPLT:
-            r = static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1
-                                                                    : 0;
-            break;
-          case Opcode::CMPLE:
-            r = static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                     : 0;
-            break;
-          case Opcode::CMPULT:
-            r = vA < vB ? 1 : 0;
-            break;
-          default: // CMPULE
-            r = vA <= vB ? 1 : 0;
-            break;
-        }
+        const uint64_t r = aluResult(f.cmpOp, vA, vB);
         writeReg(fz.rc, r);
         dyn.isAppControl = true;
         dyn.taken = condTaken(f.brOp, r);
@@ -623,25 +532,18 @@ ExecCore::executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn)
         writeReg(fz.rc, readReg(fz.ra) + static_cast<uint64_t>(fz.imm));
         return false;
       case Opcode::FSHADD: {
-        const uint64_t v = readReg(fz.ra) << (fz.tag & 63);
-        writeReg(fz.rc, v + (fz.useLit ? static_cast<uint64_t>(fz.imm)
-                                       : readReg(fz.rb)));
+        const uint64_t shifted =
+            aluResult(Opcode::SLL, readReg(fz.ra), fz.tag);
+        writeReg(fz.rc, aluResult(Opcode::ADDQ, shifted,
+                                  fz.useLit ? static_cast<uint64_t>(fz.imm)
+                                            : readReg(fz.rb)));
         return false;
       }
       case Opcode::FLDAL: {
         dyn.isMem = true;
         dyn.memAddr = readReg(fz.rb) + static_cast<uint64_t>(fz.imm);
-        const auto ld = static_cast<Opcode>(fz.tag);
-        uint64_t value;
-        if (ld == Opcode::LDBU) {
-            value = memory_.read(dyn.memAddr, 1);
-        } else if (ld == Opcode::LDL) {
-            value = static_cast<uint64_t>(
-                signExtend(memory_.read(dyn.memAddr, 4), 32));
-        } else {
-            value = memory_.read(dyn.memAddr, 8);
-        }
-        writeReg(fz.ra, value);
+        writeReg(fz.ra, loadValue(memory_, static_cast<Opcode>(fz.tag),
+                                  dyn.memAddr));
         return false;
       }
       case Opcode::FLDAS: {
@@ -649,17 +551,16 @@ ExecCore::executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn)
         dyn.isStore = true;
         const Addr addr = readReg(fz.rb) + static_cast<uint64_t>(fz.imm);
         dyn.memAddr = addr;
-        const auto st = static_cast<Opcode>(fz.tag);
-        const unsigned size =
-            st == Opcode::STB ? 1 : (st == Opcode::STL ? 4 : 8);
-        memory_.write(addr, readReg(fz.ra), size);
+        memory_.write(addr, readReg(fz.ra),
+                      storeSize(static_cast<Opcode>(fz.tag)));
         writeReg(fz.rc, addr); // the lda half's result survives the pair
         return false;
       }
       case Opcode::FLDOP: {
         dyn.isMem = true;
         dyn.memAddr = readReg(fz.rb) + static_cast<uint64_t>(fz.imm);
-        const uint64_t loaded = memory_.read(dyn.memAddr, 8);
+        const uint64_t loaded =
+            loadValue(memory_, Opcode::LDQ, dyn.memAddr);
         const LoadOpFields f = unpackLoadOp(fz.tag);
         uint64_t vA, vB;
         if (f.useLit) {
@@ -672,36 +573,7 @@ ExecCore::executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn)
             vA = loaded;
             vB = readReg(fz.rc);
         }
-        uint64_t r;
-        switch (f.aluOp) {
-          case Opcode::ADDQ: r = vA + vB; break;
-          case Opcode::SUBQ: r = vA - vB; break;
-          case Opcode::AND: r = vA & vB; break;
-          case Opcode::BIC: r = vA & ~vB; break;
-          case Opcode::OR: r = vA | vB; break;
-          case Opcode::ORNOT: r = vA | ~vB; break;
-          case Opcode::XOR: r = vA ^ vB; break;
-          case Opcode::SLL: r = vA << (vB & 63); break;
-          case Opcode::SRL: r = vA >> (vB & 63); break;
-          case Opcode::SRA:
-            r = static_cast<uint64_t>(static_cast<int64_t>(vA) >>
-                                      (vB & 63));
-            break;
-          case Opcode::CMPEQ: r = vA == vB ? 1 : 0; break;
-          case Opcode::CMPLT:
-            r = static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1
-                                                                    : 0;
-            break;
-          case Opcode::CMPLE:
-            r = static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                     : 0;
-            break;
-          case Opcode::CMPULT: r = vA < vB ? 1 : 0; break;
-          default: // CMPULE (fusePair admits nothing else)
-            r = vA <= vB ? 1 : 0;
-            break;
-        }
-        writeReg(fz.ra, r);
+        writeReg(fz.ra, aluResult(f.aluOp, vA, vB));
         return false;
       }
       default:
@@ -978,19 +850,8 @@ ExecCore::advanceToAppInst(uint64_t target)
     // core, not classifying a run. A tripped cancel flag abandons the
     // advance wherever it stands (the caller observes the flag).
     while (!exited_ && !trapped_ && result_.appInsts < target &&
-           !cancelRequested()) {
-        const uint64_t budget =
-            result_.dynInsts + (target - result_.appInsts);
-        if (traceEnabled_) {
-            runTranslated(budget);
-        } else {
-            DynInst dyn;
-            while (result_.dynInsts < budget && step(dyn)) {
-                if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
-                    break;
-            }
-        }
-    }
+           !cancelRequested())
+        drive<false>(result_.dynInsts + (target - result_.appInsts));
     // Drain any in-flight replacement sequence: the target application
     // instruction may have expanded, and its effects are complete only
     // when the sequence retires. A DISE-branch loop can spin here
@@ -1093,57 +954,7 @@ ExecCore::translateBlock(Addr entry)
     block->engineGen =
         controller_ ? controller_->engine().generation() : 0;
 
-    Addr pc = entry;
-    while (block->ops.size() < kMaxBlockLen && prog_.inText(pc)) {
-        if (fusionEnabled_) {
-            // Same per-PC decision step() takes, baked into one slot
-            // covering two words (see the numInsts accounting below).
-            if (const DecodedInst *fz = fusionAt(pc)) {
-                TransOp fop;
-                fop.op = fz->op;
-                fop.ra = fz->ra;
-                fop.rb = fz->rb;
-                fop.rc = fz->rc;
-                fop.useLit = fz->useLit;
-                fop.imm = fz->imm;
-                fop.inst = *fz;
-                bool fusedTerm = false;
-                switch (fz->op) {
-                  case Opcode::FCMPBR:
-                    fop.handler = OpHandler::FCmpBr;
-                    fop.target = fz->branchTarget(pc);
-                    fusedTerm = true;
-                    break;
-                  case Opcode::FLDAC:
-                    fop.handler = OpHandler::FLdaC;
-                    break;
-                  case Opcode::FSHADD:
-                    fop.handler = OpHandler::FShAdd;
-                    break;
-                  case Opcode::FLDAL:
-                    fop.handler = OpHandler::FLdaL;
-                    break;
-                  case Opcode::FLDAS: {
-                    fop.handler = OpHandler::FLdaS;
-                    const auto st = static_cast<Opcode>(fz->tag);
-                    fop.size = st == Opcode::STB
-                                   ? 1
-                                   : (st == Opcode::STL ? 4 : 8);
-                    break;
-                  }
-                  default: // FLDOP
-                    fop.handler = OpHandler::FLdOp;
-                    break;
-                }
-                block->ops.push_back(fop);
-                pc += 8;
-                if (fusedTerm)
-                    break;
-                continue;
-            }
-        }
-        const DecodedInst &d = fetchDecode(pc);
-
+    const auto slotOf = [](const DecodedInst &d) {
         TransOp op;
         op.op = d.op;
         op.ra = d.ra;
@@ -1152,6 +963,29 @@ ExecCore::translateBlock(Addr entry)
         op.useLit = d.useLit;
         op.imm = d.imm;
         op.inst = d;
+        return op;
+    };
+    Addr pc = entry;
+    while (block->ops.size() < kMaxBlockLen && prog_.inText(pc)) {
+        if (fusionEnabled_) {
+            // Same per-PC decision step() takes, baked into one slot
+            // covering two words (see the numInsts accounting below).
+            if (const DecodedInst *fz = fusionAt(pc)) {
+                TransOp fop = slotOf(*fz);
+                const bool fusedTerm = fz->op == Opcode::FCMPBR;
+                fop.handler =
+                    fusedTerm ? OpHandler::FCmpBr : OpHandler::Fused;
+                if (fusedTerm)
+                    fop.target = fz->branchTarget(pc);
+                block->ops.push_back(std::move(fop));
+                pc += 8;
+                if (fusedTerm)
+                    break;
+                continue;
+            }
+        }
+        const DecodedInst &d = fetchDecode(pc);
+        TransOp op = slotOf(d);
 
         if (controller_ && controller_->engine().opcodeCovered(d.op)) {
             // The engine may expand this instruction; decide at run
@@ -1309,7 +1143,7 @@ translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
     st.ops.push_back(end);
     // Trace-record templates: everything static for the sequence is
     // stamped once here; the emitting interpreter copies a template and
-    // fills in only the per-execution fields (see SEQ_EMIT_BASE).
+    // fills in only the per-execution fields (see SEQ_EMIT).
     st.tmpl.resize(r.numInsts);
     for (uint32_t s = 0; s < r.numInsts; ++s) {
         DynInst &d = st.tmpl[s];
@@ -1376,6 +1210,74 @@ ExecCore::seqTransFor(const TransOp &t)
 #define DISE_CASE(name) case OpHandler::name:
 #endif
 
+/*
+ * The straight-line handlers both interpreters share, one per entry of
+ * the src/sim/semantics.hpp lists, so each label's expression is a
+ * compile-time constant. An interpreter defines, around its expansion
+ * of DISE_STRAIGHT_HANDLERS:
+ *   SLOT             the current slot (a SeqOp or TransOp lvalue);
+ *   SLOT_ENTER()     the per-slot prologue;
+ *   SLOT_LEAVE(...)  retire the slot and emit its trace record (the
+ *                    arguments are extra field assignments through
+ *                    eout), then advance and dispatch;
+ * and a `loads` counter local. DISE_STRAIGHT_LABELS is the matching
+ * head of the label table (the head of OpHandler, in order).
+ */
+#define DISE_ADDR_HANDLER(name, OP, expr)                                   \
+    DISE_CASE(name)                                                         \
+    {                                                                       \
+        SLOT_ENTER();                                                       \
+        const uint64_t base = readReg(SLOT.rb);                             \
+        const uint64_t disp = static_cast<uint64_t>(SLOT.imm);              \
+        writeReg(SLOT.ra, (expr));                                          \
+        SLOT_LEAVE();                                                       \
+    }
+#define DISE_ALU_HANDLER(name, OP, expr)                                    \
+    DISE_CASE(name)                                                         \
+    {                                                                       \
+        SLOT_ENTER();                                                       \
+        const uint64_t vA = readReg(SLOT.ra);                               \
+        const uint64_t vB = SLOT.useLit ? static_cast<uint64_t>(SLOT.imm)   \
+                                        : readReg(SLOT.rb);                 \
+        writeReg(SLOT.rc, (expr));                                          \
+        SLOT_LEAVE();                                                       \
+    }
+#define DISE_CMOV_HANDLER(name, OP, cond)                                   \
+    DISE_CASE(name)                                                         \
+    {                                                                       \
+        SLOT_ENTER();                                                       \
+        const uint64_t vA = readReg(SLOT.ra);                               \
+        if (cond)                                                           \
+            writeReg(SLOT.rc, SLOT.useLit ? static_cast<uint64_t>(SLOT.imm) \
+                                          : readReg(SLOT.rb));              \
+        SLOT_LEAVE();                                                       \
+    }
+#define DISE_LOAD_HANDLER(name, OP)                                         \
+    DISE_CASE(name)                                                         \
+    {                                                                       \
+        SLOT_ENTER();                                                       \
+        const Addr addr =                                                   \
+            readReg(SLOT.rb) + static_cast<uint64_t>(SLOT.imm);             \
+        ++loads;                                                            \
+        writeReg(SLOT.ra, loadValue(memory_, Opcode::OP, addr));            \
+        SLOT_LEAVE(eout->isMem = true; eout->memAddr = addr);               \
+    }
+#define DISE_STRAIGHT_HANDLERS                                              \
+    DISE_CASE(Nop)                                                          \
+    {                                                                       \
+        SLOT_ENTER();                                                       \
+        SLOT_LEAVE();                                                       \
+    }                                                                       \
+    DISE_ADDR_OPS(DISE_ADDR_HANDLER)                                        \
+    DISE_ALU_OPS(DISE_ALU_HANDLER)                                          \
+    DISE_CMOV_OPS(DISE_CMOV_HANDLER)                                        \
+    DISE_LOAD_OPS(DISE_LOAD_HANDLER)
+#define DISE_LABEL_ADDR(name, ...) &&lbl_##name,
+#define DISE_STRAIGHT_LABELS                                                \
+    &&lbl_Nop, DISE_ADDR_OPS(DISE_LABEL_ADDR)                               \
+        DISE_ALU_OPS(DISE_LABEL_ADDR) DISE_CMOV_OPS(DISE_LABEL_ADDR)        \
+            DISE_LOAD_OPS(DISE_LABEL_ADDR)
+
 template <bool kEmit>
 void
 ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
@@ -1397,8 +1299,8 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
     // so seqBase marks where this sequence's records start.
     [[maybe_unused]] DynInst *eout = emit_;
     [[maybe_unused]] DynInst *const seqBase = eout;
-    // Pre-built per-slot records (see translateSeq): SEQ_EMIT_BASE
-    // copies one — slot 0's template already carries the sequence-level
+    // Pre-built per-slot records (see translateSeq): SEQ_EMIT copies
+    // one — slot 0's template already carries the sequence-level
     // prediction class — and stamps only the per-execution fields.
     [[maybe_unused]] const DynInst *const tmpl = st.tmpl.data();
 
@@ -1411,22 +1313,19 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
         if constexpr (kEmit)                                                \
             emit_ = eout;                                                   \
     } while (0)
-    /* The step()-identical trace record for the retiring slot @p t
-     * (kEmit call sites only); outcome extras are the caller's. */
-#define SEQ_EMIT_BASE(t)                                                    \
-    do {                                                                    \
-        *eout = tmpl[j];                                                    \
-        eout->pc = tpc;                                                     \
-        if (j == 0) {                                                       \
-            eout->ptMiss = pendingExpand_.ptMiss;                           \
-            eout->rtMiss = pendingExpand_.rtMiss;                           \
-            eout->missPenalty = pendingExpand_.missPenalty;                 \
-        }                                                                   \
-    } while (0)
-#define SEQ_EMIT_PLAIN(t)                                                   \
+    /* The step()-identical trace record for the retiring slot j (kEmit
+     * only); the arguments assign the outcome extras through eout. */
+#define SEQ_EMIT(...)                                                       \
     do {                                                                    \
         if constexpr (kEmit) {                                              \
-            SEQ_EMIT_BASE(t);                                               \
+            *eout = tmpl[j];                                                \
+            eout->pc = tpc;                                                 \
+            if (j == 0) {                                                   \
+                eout->ptMiss = pendingExpand_.ptMiss;                       \
+                eout->rtMiss = pendingExpand_.rtMiss;                       \
+                eout->missPenalty = pendingExpand_.missPenalty;             \
+            }                                                               \
+            __VA_ARGS__;                                                    \
             ++eout;                                                         \
         }                                                                   \
     } while (0)
@@ -1449,68 +1348,24 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
 #else
 #define SEQ_DISPATCH() goto dispatch
 #endif
-#define SEQ_BINOP(name, expr)                                               \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        SEQ_CHECK();                                                        \
-        const SeqOp &t = ops[j];                                            \
-        const uint64_t vA = readReg(t.ra);                                  \
-        const uint64_t vB = t.useLit ? static_cast<uint64_t>(t.imm)         \
-                                     : readReg(t.rb);                       \
-        writeReg(t.rc, (expr));                                             \
-        SEQ_RETIRE(t.trigger);                                              \
-        SEQ_EMIT_PLAIN(t);                                                  \
+#define SLOT ops[j]
+#define SLOT_ENTER() SEQ_CHECK()
+#define SLOT_LEAVE(...)                                                     \
+    do {                                                                    \
+        SEQ_RETIRE(ops[j].trigger);                                         \
+        SEQ_EMIT(__VA_ARGS__);                                              \
         ++j;                                                                \
         SEQ_DISPATCH();                                                     \
-    }
-#define SEQ_CMOV(name, cond)                                                \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        SEQ_CHECK();                                                        \
-        const SeqOp &t = ops[j];                                            \
-        const uint64_t vA = readReg(t.ra);                                  \
-        if (cond)                                                           \
-            writeReg(t.rc, t.useLit ? static_cast<uint64_t>(t.imm)          \
-                                    : readReg(t.rb));                       \
-        SEQ_RETIRE(t.trigger);                                              \
-        SEQ_EMIT_PLAIN(t);                                                  \
-        ++j;                                                                \
-        SEQ_DISPATCH();                                                     \
-    }
-#define SEQ_LOAD(name, readExpr)                                            \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        SEQ_CHECK();                                                        \
-        const SeqOp &t = ops[j];                                            \
-        const Addr addr = readReg(t.rb) + static_cast<uint64_t>(t.imm);     \
-        ++loads;                                                            \
-        writeReg(t.ra, (readExpr));                                         \
-        SEQ_RETIRE(t.trigger);                                              \
-        if constexpr (kEmit) {                                              \
-            SEQ_EMIT_BASE(t);                                               \
-            eout->isMem = true;                                             \
-            eout->memAddr = addr;                                           \
-            ++eout;                                                         \
-        }                                                                   \
-        ++j;                                                                \
-        SEQ_DISPATCH();                                                     \
-    }
+    } while (0)
 
 #if DISE_THREADED_DISPATCH
     static void *const kTab[] = {
-        &&lbl_Nop, &&lbl_Lda, &&lbl_Ldah, &&lbl_Addq, &&lbl_Subq,
-        &&lbl_Mulq, &&lbl_And, &&lbl_Bic, &&lbl_Or, &&lbl_Ornot,
-        &&lbl_Xor, &&lbl_Sll, &&lbl_Srl, &&lbl_Sra, &&lbl_Cmpeq,
-        &&lbl_Cmplt, &&lbl_Cmple, &&lbl_Cmpult, &&lbl_Cmpule,
-        &&lbl_Cmoveq, &&lbl_Cmovne, &&lbl_Ldbu, &&lbl_Ldl, &&lbl_Ldq,
-        &&lbl_Store, &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
-        &&lbl_bad /* Engine */, &&lbl_DiseCond, &&lbl_DiseBr,
+        DISE_STRAIGHT_LABELS &&lbl_Store, &&lbl_CondBranch,
+        &&lbl_DirBranch, &&lbl_Jump, &&lbl_bad /* Engine */,
+        &&lbl_DiseCond, &&lbl_DiseBr,
         // Fused ops never appear in replacement sequences (fusion is
         // not a ProductionSet; translateSeq cannot produce them).
-        &&lbl_bad /* FCmpBr */, &&lbl_bad /* FLdaC */,
-        &&lbl_bad /* FShAdd */, &&lbl_bad /* FLdaL */,
-        &&lbl_bad /* FLdaS */, &&lbl_bad /* FLdOp */,
-        &&lbl_End,
+        &&lbl_bad /* FCmpBr */, &&lbl_bad /* Fused */, &&lbl_End,
     };
     static_assert(sizeof(kTab) / sizeof(kTab[0]) ==
                       static_cast<size_t>(OpHandler::NUM),
@@ -1521,60 +1376,7 @@ dispatch:
     switch (ops[j].handler) {
 #endif
 
-    DISE_CASE(Nop)
-    {
-        SEQ_CHECK();
-        SEQ_RETIRE(ops[j].trigger);
-        SEQ_EMIT_PLAIN(ops[j]);
-        ++j;
-        SEQ_DISPATCH();
-    }
-    DISE_CASE(Lda)
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        writeReg(t.ra, readReg(t.rb) + static_cast<uint64_t>(t.imm));
-        SEQ_RETIRE(t.trigger);
-        SEQ_EMIT_PLAIN(t);
-        ++j;
-        SEQ_DISPATCH();
-    }
-    DISE_CASE(Ldah)
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        writeReg(t.ra,
-                 readReg(t.rb) + (static_cast<uint64_t>(t.imm) << 16));
-        SEQ_RETIRE(t.trigger);
-        SEQ_EMIT_PLAIN(t);
-        ++j;
-        SEQ_DISPATCH();
-    }
-    SEQ_BINOP(Addq, vA + vB)
-    SEQ_BINOP(Subq, vA - vB)
-    SEQ_BINOP(Mulq, vA * vB)
-    SEQ_BINOP(And, vA & vB)
-    SEQ_BINOP(Bic, vA & ~vB)
-    SEQ_BINOP(Or, vA | vB)
-    SEQ_BINOP(Ornot, vA | ~vB)
-    SEQ_BINOP(Xor, vA ^ vB)
-    SEQ_BINOP(Sll, vA << (vB & 63))
-    SEQ_BINOP(Srl, vA >> (vB & 63))
-    SEQ_BINOP(Sra,
-              static_cast<uint64_t>(static_cast<int64_t>(vA) >> (vB & 63)))
-    SEQ_BINOP(Cmpeq, vA == vB ? 1 : 0)
-    SEQ_BINOP(Cmplt,
-              static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1 : 0)
-    SEQ_BINOP(Cmple,
-              static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1 : 0)
-    SEQ_BINOP(Cmpult, vA < vB ? 1 : 0)
-    SEQ_BINOP(Cmpule, vA <= vB ? 1 : 0)
-    SEQ_CMOV(Cmoveq, vA == 0)
-    SEQ_CMOV(Cmovne, vA != 0)
-    SEQ_LOAD(Ldbu, memory_.read(addr, 1))
-    SEQ_LOAD(Ldl,
-             static_cast<uint64_t>(signExtend(memory_.read(addr, 4), 32)))
-    SEQ_LOAD(Ldq, memory_.read(addr, 8))
+    DISE_STRAIGHT_HANDLERS
     DISE_CASE(Store)
     {
         SEQ_CHECK();
@@ -1587,16 +1389,8 @@ dispatch:
         // staleness is caught by the Engine slot's epoch check.
         if (addr < prog_.textEnd() && addr + t.size > prog_.textBase)
             invalidateDecodedRange(addr, t.size);
-        SEQ_RETIRE(t.trigger);
-        if constexpr (kEmit) {
-            SEQ_EMIT_BASE(t);
-            eout->isMem = true;
-            eout->isStore = true;
-            eout->memAddr = addr;
-            ++eout;
-        }
-        ++j;
-        SEQ_DISPATCH();
+        SLOT_LEAVE(eout->isMem = true; eout->isStore = true;
+                   eout->memAddr = addr);
     }
     DISE_CASE(CondBranch)
     {
@@ -1605,15 +1399,10 @@ dispatch:
         const bool taken = condTaken(t.op, readReg(t.ra));
         const Addr target = tpc + 4 + static_cast<uint64_t>(t.imm) * 4;
         SEQ_RETIRE(t.trigger);
-        if constexpr (kEmit) {
-            // actualTarget is stamped even when not taken (execute()
-            // sets it unconditionally for conditional branches).
-            SEQ_EMIT_BASE(t);
-            eout->isAppControl = true;
-            eout->taken = taken;
-            eout->actualTarget = target;
-            ++eout;
-        }
+        // actualTarget is stamped even when not taken (execute() sets
+        // it unconditionally for conditional branches).
+        SEQ_EMIT(eout->isAppControl = true; eout->taken = taken;
+                 eout->actualTarget = target);
         if (taken && errorAddr_ != 0 && target == errorAddr_)
             ++result_.acfDetections;
         if (t.trigger) {
@@ -1646,13 +1435,8 @@ dispatch:
                 : tpc + 4 + static_cast<uint64_t>(t.imm) * 4;
         writeReg(t.ra, tpc + 4);
         SEQ_RETIRE(t.trigger);
-        if constexpr (kEmit) {
-            SEQ_EMIT_BASE(t);
-            eout->isAppControl = true;
-            eout->taken = true;
-            eout->actualTarget = target;
-            ++eout;
-        }
+        SEQ_EMIT(eout->isAppControl = true; eout->taken = true;
+                 eout->actualTarget = target);
         if (errorAddr_ != 0 && target == errorAddr_)
             ++result_.acfDetections;
         if (t.trigger) {
@@ -1676,7 +1460,7 @@ dispatch:
                            condTaken(t.op, readReg(t.ra));
         SEQ_RETIRE(t.trigger);
         if (!taken) {
-            SEQ_EMIT_PLAIN(t);
+            SEQ_EMIT();
             ++j;
             SEQ_DISPATCH();
         }
@@ -1692,12 +1476,7 @@ dispatch:
                                 (long long)target, len));
             goto seq_done; // the slot retired; pc_ is the trap state
         }
-        if constexpr (kEmit) {
-            SEQ_EMIT_BASE(t);
-            eout->taken = true;
-            eout->diseTarget = t.diseTarget;
-            ++eout;
-        }
+        SEQ_EMIT(eout->taken = true; eout->diseTarget = t.diseTarget);
         j = t.diseTarget; // target == len lands on the End sentinel
         SEQ_DISPATCH();
     }
@@ -1741,14 +1520,13 @@ seq_done:
     SEQ_FLUSH();
 
 #undef SEQ_FLUSH
-#undef SEQ_EMIT_BASE
-#undef SEQ_EMIT_PLAIN
+#undef SEQ_EMIT
 #undef SEQ_CHECK
 #undef SEQ_RETIRE
 #undef SEQ_DISPATCH
-#undef SEQ_BINOP
-#undef SEQ_CMOV
-#undef SEQ_LOAD
+#undef SLOT
+#undef SLOT_ENTER
+#undef SLOT_LEAVE
 }
 
 template <bool kEmit>
@@ -1795,14 +1573,15 @@ ExecCore::runChain(const TransBlock *block, uint32_t slot,
             eout = emit_;                                                   \
     } while (0)
     /* The step()-identical trace record for the retiring application
-     * instruction at @p pc (kEmit call sites only); outcome extras are
-     * the caller's. */
-#define CHAIN_EMIT()                                                        \
+     * instruction at pc (kEmit only); the arguments assign the outcome
+     * extras through eout. */
+#define CHAIN_EMIT(...)                                                     \
     do {                                                                    \
         if constexpr (kEmit) {                                              \
             *eout = DynInst{};                                              \
             eout->pc = pc;                                                  \
             eout->inst = t->inst;                                           \
+            __VA_ARGS__;                                                    \
             ++eout;                                                         \
         }                                                                   \
     } while (0)
@@ -1828,72 +1607,37 @@ ExecCore::runChain(const TransBlock *block, uint32_t slot,
         inspected += haveEngine;                                            \
     } while (0)
     /* A fused slot retires both constituents (and natively the engine
-     * would have inspected both). */
-#define CHAIN_RETIRE_FUSED()                                                \
+     * would have inspected both), as one record built by executeFused. */
+#define CHAIN_RETIRE_FUSED(fdyn)                                            \
     do {                                                                    \
         dyn += 2;                                                           \
         app += 2;                                                           \
         inspected += 2 * haveEngine;                                        \
         ++statFusedPairs_;                                                  \
         ++statFusedFamily_[fusedFamilyIndex(t->op)];                        \
-    } while (0)
-#define CHAIN_BINOP(name, expr)                                             \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        const uint64_t vA = readReg(t->ra);                                 \
-        const uint64_t vB = t->useLit ? static_cast<uint64_t>(t->imm)       \
-                                      : readReg(t->rb);                     \
-        writeReg(t->rc, (expr));                                            \
-        CHAIN_RETIRE();                                                     \
-        CHAIN_EMIT();                                                       \
-        ++t;                                                                \
-        pc += 4;                                                            \
-        CHAIN_DISPATCH();                                                   \
-    }
-#define CHAIN_CMOV(name, cond)                                              \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        const uint64_t vA = readReg(t->ra);                                 \
-        if (cond)                                                           \
-            writeReg(t->rc, t->useLit ? static_cast<uint64_t>(t->imm)       \
-                                      : readReg(t->rb));                    \
-        CHAIN_RETIRE();                                                     \
-        CHAIN_EMIT();                                                       \
-        ++t;                                                                \
-        pc += 4;                                                            \
-        CHAIN_DISPATCH();                                                   \
-    }
-#define CHAIN_LOAD(name, readExpr)                                          \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        const Addr addr = readReg(t->rb) + static_cast<uint64_t>(t->imm);   \
-        ++loads;                                                            \
-        writeReg(t->ra, (readExpr));                                        \
-        CHAIN_RETIRE();                                                     \
         if constexpr (kEmit) {                                              \
-            *eout = DynInst{};                                              \
-            eout->pc = pc;                                                  \
-            eout->inst = t->inst;                                           \
-            eout->isMem = true;                                             \
-            eout->memAddr = addr;                                           \
-            ++eout;                                                         \
+            (fdyn).pc = pc;                                                 \
+            (fdyn).inst = t->inst;                                          \
+            *eout++ = (fdyn);                                               \
         }                                                                   \
+    } while (0)
+#define SLOT (*t)
+#define SLOT_ENTER() do {} while (0)
+#define SLOT_LEAVE(...)                                                     \
+    do {                                                                    \
+        CHAIN_RETIRE();                                                     \
+        CHAIN_EMIT(__VA_ARGS__);                                            \
         ++t;                                                                \
         pc += 4;                                                            \
         CHAIN_DISPATCH();                                                   \
-    }
+    } while (0)
 
 #if DISE_THREADED_DISPATCH
     static void *const kTab[] = {
-        &&lbl_Nop, &&lbl_Lda, &&lbl_Ldah, &&lbl_Addq, &&lbl_Subq,
-        &&lbl_Mulq, &&lbl_And, &&lbl_Bic, &&lbl_Or, &&lbl_Ornot,
-        &&lbl_Xor, &&lbl_Sll, &&lbl_Srl, &&lbl_Sra, &&lbl_Cmpeq,
-        &&lbl_Cmplt, &&lbl_Cmple, &&lbl_Cmpult, &&lbl_Cmpule,
-        &&lbl_Cmoveq, &&lbl_Cmovne, &&lbl_Ldbu, &&lbl_Ldl, &&lbl_Ldq,
-        &&lbl_Store, &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
-        &&lbl_Engine, &&lbl_bad /* DiseCond */, &&lbl_bad /* DiseBr */,
-        &&lbl_FCmpBr, &&lbl_FLdaC, &&lbl_FShAdd, &&lbl_FLdaL,
-        &&lbl_FLdaS, &&lbl_FLdOp, &&lbl_End,
+        DISE_STRAIGHT_LABELS &&lbl_Store, &&lbl_CondBranch,
+        &&lbl_DirBranch, &&lbl_Jump, &&lbl_Engine,
+        &&lbl_bad /* DiseCond */, &&lbl_bad /* DiseBr */,
+        &&lbl_FCmpBr, &&lbl_Fused, &&lbl_End,
     };
     static_assert(sizeof(kTab) / sizeof(kTab[0]) ==
                       static_cast<size_t>(OpHandler::NUM),
@@ -1904,75 +1648,15 @@ dispatch:
     switch (t->handler) {
 #endif
 
-    DISE_CASE(Nop)
-    {
-        CHAIN_RETIRE();
-        CHAIN_EMIT();
-        ++t;
-        pc += 4;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(Lda)
-    {
-        writeReg(t->ra, readReg(t->rb) + static_cast<uint64_t>(t->imm));
-        CHAIN_RETIRE();
-        CHAIN_EMIT();
-        ++t;
-        pc += 4;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(Ldah)
-    {
-        writeReg(t->ra,
-                 readReg(t->rb) + (static_cast<uint64_t>(t->imm) << 16));
-        CHAIN_RETIRE();
-        CHAIN_EMIT();
-        ++t;
-        pc += 4;
-        CHAIN_DISPATCH();
-    }
-    CHAIN_BINOP(Addq, vA + vB)
-    CHAIN_BINOP(Subq, vA - vB)
-    CHAIN_BINOP(Mulq, vA * vB)
-    CHAIN_BINOP(And, vA & vB)
-    CHAIN_BINOP(Bic, vA & ~vB)
-    CHAIN_BINOP(Or, vA | vB)
-    CHAIN_BINOP(Ornot, vA | ~vB)
-    CHAIN_BINOP(Xor, vA ^ vB)
-    CHAIN_BINOP(Sll, vA << (vB & 63))
-    CHAIN_BINOP(Srl, vA >> (vB & 63))
-    CHAIN_BINOP(Sra,
-                static_cast<uint64_t>(static_cast<int64_t>(vA) >>
-                                      (vB & 63)))
-    CHAIN_BINOP(Cmpeq, vA == vB ? 1 : 0)
-    CHAIN_BINOP(Cmplt,
-                static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1 : 0)
-    CHAIN_BINOP(Cmple,
-                static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                     : 0)
-    CHAIN_BINOP(Cmpult, vA < vB ? 1 : 0)
-    CHAIN_BINOP(Cmpule, vA <= vB ? 1 : 0)
-    CHAIN_CMOV(Cmoveq, vA == 0)
-    CHAIN_CMOV(Cmovne, vA != 0)
-    CHAIN_LOAD(Ldbu, memory_.read(addr, 1))
-    CHAIN_LOAD(Ldl,
-               static_cast<uint64_t>(signExtend(memory_.read(addr, 4), 32)))
-    CHAIN_LOAD(Ldq, memory_.read(addr, 8))
+    DISE_STRAIGHT_HANDLERS
     DISE_CASE(Store)
     {
         const Addr addr = readReg(t->rb) + static_cast<uint64_t>(t->imm);
         ++stores;
         memory_.write(addr, readReg(t->ra), t->size);
         CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
-            eout->isMem = true;
-            eout->isStore = true;
-            eout->memAddr = addr;
-            ++eout;
-        }
+        CHAIN_EMIT(eout->isMem = true; eout->isStore = true;
+                   eout->memAddr = addr);
         if (addr < prog_.textEnd() && addr + t->size > prog_.textBase) {
             // Self-modifying store: drop stale decodes and traces
             // (possibly blocks of this very chain — parked on the
@@ -1991,17 +1675,10 @@ dispatch:
     {
         const bool taken = condTaken(t->op, readReg(t->ra));
         CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            // actualTarget is stamped even when not taken (execute()
-            // sets it unconditionally for conditional branches).
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
-            eout->isAppControl = true;
-            eout->taken = taken;
-            eout->actualTarget = t->target;
-            ++eout;
-        }
+        // actualTarget is stamped even when not taken (execute() sets
+        // it unconditionally for conditional branches).
+        CHAIN_EMIT(eout->isAppControl = true; eout->taken = taken;
+                   eout->actualTarget = t->target);
         if (!taken) {
             ++t;
             pc += 4;
@@ -2017,15 +1694,8 @@ dispatch:
     {
         writeReg(t->ra, pc + 4);
         CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
-            eout->isAppControl = true;
-            eout->taken = true;
-            eout->actualTarget = t->target;
-            ++eout;
-        }
+        CHAIN_EMIT(eout->isAppControl = true; eout->taken = true;
+                   eout->actualTarget = t->target);
         if (errorAddr_ != 0 && t->target == errorAddr_)
             ++result_.acfDetections;
         nextPC = t->target;
@@ -2039,15 +1709,8 @@ dispatch:
         const Addr target = readReg(t->rb) & ~Addr(3);
         writeReg(t->ra, pc + 4);
         CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
-            eout->isAppControl = true;
-            eout->taken = true;
-            eout->actualTarget = target;
-            ++eout;
-        }
+        CHAIN_EMIT(eout->isAppControl = true; eout->taken = true;
+                   eout->actualTarget = target);
         if (errorAddr_ != 0 && target == errorAddr_)
             ++result_.acfDetections;
         nextPC = target;
@@ -2058,13 +1721,7 @@ dispatch:
     {
         DynInst fdyn;
         const bool taken = executeFused(t->inst, pc, fdyn);
-        CHAIN_RETIRE_FUSED();
-        if constexpr (kEmit) {
-            fdyn.pc = pc;
-            fdyn.inst = t->inst;
-            *eout = fdyn;
-            ++eout;
-        }
+        CHAIN_RETIRE_FUSED(fdyn);
         if (!taken) {
             ++t;
             pc += 8;
@@ -2074,52 +1731,16 @@ dispatch:
         edge = &t->chain;
         goto chain;
     }
-    DISE_CASE(FLdaC)
-    DISE_CASE(FShAdd)
+    DISE_CASE(Fused)
     {
+        // Every other fused pair is straight-line; its memory access,
+        // if any, is reported in the record executeFused fills.
         DynInst fdyn;
         executeFused(t->inst, pc, fdyn);
-        CHAIN_RETIRE_FUSED();
-        if constexpr (kEmit) {
-            fdyn.pc = pc;
-            fdyn.inst = t->inst;
-            *eout = fdyn;
-            ++eout;
-        }
-        ++t;
-        pc += 8;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(FLdaL)
-    DISE_CASE(FLdOp)
-    {
-        DynInst fdyn;
-        executeFused(t->inst, pc, fdyn);
-        ++loads;
-        CHAIN_RETIRE_FUSED();
-        if constexpr (kEmit) {
-            fdyn.pc = pc;
-            fdyn.inst = t->inst;
-            *eout = fdyn;
-            ++eout;
-        }
-        ++t;
-        pc += 8;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(FLdaS)
-    {
-        DynInst fdyn;
-        executeFused(t->inst, pc, fdyn);
-        ++stores;
-        CHAIN_RETIRE_FUSED();
-        if constexpr (kEmit) {
-            fdyn.pc = pc;
-            fdyn.inst = t->inst;
-            *eout = fdyn;
-            ++eout;
-        }
-        if (fdyn.memAddr < prog_.textEnd() &&
+        loads += fdyn.isMem && !fdyn.isStore;
+        stores += fdyn.isStore;
+        CHAIN_RETIRE_FUSED(fdyn);
+        if (fdyn.isStore && fdyn.memAddr < prog_.textEnd() &&
             fdyn.memAddr + 8 > prog_.textBase) {
             // Self-modifying store, same conservative width as the
             // step-path fused store: leave the fast path so the
@@ -2148,12 +1769,8 @@ dispatch:
             }
             if (!r.expanded) {
                 // Pass-through (or trap: checked below via trapped_).
-                if constexpr (kEmit) {
-                    if (execAppInst<true>(t->inst, emit_))
-                        ++emit_;
-                } else {
-                    execAppInst<false>(t->inst, nullptr);
-                }
+                if (execAppInst<kEmit>(t->inst, emit_) && kEmit)
+                    ++emit_;
             } else {
                 adoptExpansion(r);
                 if (const SeqTrans *sq = seqTransFor(*t)) {
@@ -2161,12 +1778,8 @@ dispatch:
                 } else {
                     while (seqSpec_ && result_.dynInsts < maxInsts &&
                            !cancelPollDue(result_.dynInsts)) {
-                        if constexpr (kEmit) {
-                            if (execSeqSlot<true>(emit_))
-                                ++emit_;
-                        } else {
-                            execSeqSlot<false>(nullptr);
-                        }
+                        if (execSeqSlot<kEmit>(emit_) && kEmit)
+                            ++emit_;
                     }
                 }
             }
@@ -2214,10 +1827,6 @@ chain:
     // Block exit with a known successor PC: follow (or patch) the
     // taken/fall-through edge and keep executing without a dispatcher
     // round trip.
-    if (!chainEnabled_) {
-        pc_ = nextPC;
-        goto exit_flush;
-    }
     if (cancelPollDue(dyn)) {
         // Deadline observed at a block boundary — a precise
         // instruction boundary; run() classifies the outcome.
@@ -2270,15 +1879,36 @@ exit_flush:
 #undef CHAIN_DISPATCH
 #undef CHAIN_RETIRE
 #undef CHAIN_RETIRE_FUSED
-#undef CHAIN_BINOP
-#undef CHAIN_CMOV
-#undef CHAIN_LOAD
+#undef SLOT
+#undef SLOT_ENTER
+#undef SLOT_LEAVE
 }
 
+template <bool kEmit>
 void
-ExecCore::runTranslated(uint64_t maxInsts)
+ExecCore::drive(uint64_t maxInsts)
 {
-    DynInst dyn;
+    // step() into the ring (kEmit) or into a scratch record.
+    DynInst scratch;
+    const auto stepOnce = [&] {
+        if constexpr (kEmit) {
+            if (!step(*emit_))
+                return false;
+            ++emit_;
+            return true;
+        } else {
+            return step(scratch);
+        }
+    };
+    if (!traceEnabled_) {
+        // Reference path: step() with the cancel poll every 1K
+        // retirements.
+        while (result_.dynInsts < maxInsts && stepOnce()) {
+            if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
+                break;
+        }
+        return;
+    }
     while (!exited_ && !trapped_ && result_.dynInsts < maxInsts &&
            !cancelRequested()) {
         // Dispatcher top is the one point provably outside any chain
@@ -2286,23 +1916,40 @@ ExecCore::runTranslated(uint64_t maxInsts)
         // invalidation/eviction can finally be freed.
         retired_.clear();
         if (seqSpec_) {
-            // Resumed mid-sequence (resumeAt, or a budget expiry that
-            // was later raised): drain the sequence first.
-            execSeqSlot<false>(nullptr);
+            // Resumed mid-sequence (resumeAt, a budget expiry that was
+            // later raised, or a batch boundary that landed inside an
+            // expansion): drain the sequence a slot at a time.
+            if (execSeqSlot<kEmit>(emit_) && kEmit)
+                ++emit_;
             continue;
+        }
+        const uint64_t gen =
+            controller_ ? controller_->engine().generation() : 0;
+        if constexpr (kEmit) {
+            if (resume_.block != nullptr) {
+                // A prior batch stopped mid-block: re-enter that block
+                // at the stopped slot if nothing has invalidated it
+                // since.
+                const ResumeCursor rc = resume_;
+                resume_.block = nullptr;
+                if (rc.pc == pc_ && rc.epoch == traceEpoch_ &&
+                    rc.gen == gen) {
+                    ++statCursorResumes_;
+                    runChain<true>(rc.block, rc.slot, maxInsts);
+                    continue;
+                }
+            }
         }
         if ((pc_ & 3) != 0 || pc_ < prog_.textBase ||
             pc_ >= prog_.textEnd()) {
             // Out-of-text (traps) and unaligned fetches stay on the
             // slow path.
-            if (!step(dyn))
+            if (!stepOnce())
                 break;
             continue;
         }
         DispatchEntry &de =
             dispatch_[(pc_ >> 2) & (kDispatchEntries - 1)];
-        const uint64_t gen =
-            controller_ ? controller_->engine().generation() : 0;
         if (de.pc != pc_ || de.epoch != traceEpoch_ || de.gen != gen) {
             de.block = lookupBlock(pc_);
             de.pc = pc_;
@@ -2312,11 +1959,11 @@ ExecCore::runTranslated(uint64_t maxInsts)
         if (de.block->numInsts == 0) {
             // Leading untranslatable instruction (syscall, codeword,
             // ...): execute it through the full machinery.
-            if (!step(dyn))
+            if (!stepOnce())
                 break;
             continue;
         }
-        runChain<false>(de.block.get(), 0, maxInsts);
+        runChain<kEmit>(de.block.get(), 0, maxInsts);
     }
 }
 
@@ -2327,94 +1974,19 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
         return 0;
     // Budget in retirement units: every retired instruction emits at
     // most one record, so bounding dynInsts bounds the ring too.
-    const uint64_t budget =
-        std::min(maxDyn, result_.dynInsts + cap);
-
-    if (!traceEnabled_) {
-        // Reference path: step() straight into the ring, with the slow
-        // loop's cancel-poll stride.
-        DynInst *out = ring;
-        DynInst *const end = ring + cap;
-        while (out != end && result_.dynInsts < budget) {
-            if (!step(*out))
-                break;
-            ++out;
-            if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
-                break;
-        }
-        pinSuspendedSeq();
-        return static_cast<size_t>(out - ring);
-    }
-
-    // Translated path: runTranslated's dispatcher with the emitting
-    // interpreter variants. emit_ is live for the duration of the
-    // call; every exit from the interpreters syncs it.
     emit_ = ring;
-    DynInst *const end = ring + cap;
-    while (!exited_ && !trapped_ && result_.dynInsts < budget &&
-           emit_ != end && !cancelRequested()) {
-        retired_.clear();
-        if (seqSpec_) {
-            // Resumed mid-sequence (a prior batch boundary landed
-            // inside an expansion): drain it a slot at a time.
-            if (execSeqSlot<true>(emit_))
-                ++emit_;
-            continue;
-        }
-        const uint64_t gen =
-            controller_ ? controller_->engine().generation() : 0;
-        if (resume_.block != nullptr) {
-            // A prior batch stopped mid-block: re-enter that block at
-            // the stopped slot if nothing has invalidated it since.
-            const ResumeCursor rc = resume_;
-            resume_.block = nullptr;
-            if (rc.pc == pc_ && rc.epoch == traceEpoch_ && rc.gen == gen) {
-                ++statCursorResumes_;
-                runChain<true>(rc.block, rc.slot, budget);
-                continue;
-            }
-        }
-        if ((pc_ & 3) != 0 || pc_ < prog_.textBase ||
-            pc_ >= prog_.textEnd()) {
-            if (!step(*emit_))
-                break;
-            ++emit_;
-            continue;
-        }
-        DispatchEntry &de =
-            dispatch_[(pc_ >> 2) & (kDispatchEntries - 1)];
-        if (de.pc != pc_ || de.epoch != traceEpoch_ || de.gen != gen) {
-            de.block = lookupBlock(pc_);
-            de.pc = pc_;
-            de.epoch = traceEpoch_;
-            de.gen = gen;
-        }
-        if (de.block->numInsts == 0) {
-            if (!step(*emit_))
-                break;
-            ++emit_;
-            continue;
-        }
-        runChain<true>(de.block.get(), 0, budget);
-    }
+    drive<true>(std::min(maxDyn, result_.dynInsts + cap));
     pinSuspendedSeq();
     const size_t n = static_cast<size_t>(emit_ - ring);
     emit_ = nullptr;
+    DISE_ASSERT(n <= cap, "trace feed overran its ring");
     return n;
 }
 
 RunResult
 ExecCore::run(uint64_t maxInsts)
 {
-    if (traceEnabled_) {
-        runTranslated(maxInsts);
-    } else {
-        DynInst dyn;
-        while (result_.dynInsts < maxInsts && step(dyn)) {
-            if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
-                break;
-        }
-    }
+    drive<false>(maxInsts);
     // Watchdog expiry is an architected, classifiable outcome: the
     // instruction budget ran out — or an external deadline cancelled
     // the run — with the program still live.

@@ -28,7 +28,6 @@
 #define DISE_SIM_CORE_HPP
 
 #include <array>
-#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -223,17 +222,6 @@ class ExecCore
     bool traceCacheEnabled() const { return traceEnabled_; }
 
     /**
-     * Superblock chaining (DESIGN.md section 13): follow patched
-     * successor edges block-to-block instead of returning to the
-     * dispatch cache at every block boundary. On by default; the off
-     * switch exists for differential benchmarking (bench_sim_throughput
-     * reports both) and as a second-stage escape hatch behind
-     * --no-trace-cache.
-     */
-    void setChainingEnabled(bool on) { chainEnabled_ = on; }
-    bool chainingEnabled() const { return chainEnabled_; }
-
-    /**
      * Translated-block residency cap (test hook; the default is ample
      * for every real workload). Crossing the cap evicts the whole block
      * map — with the epoch bump and graveyard parking that make
@@ -332,8 +320,18 @@ class ExecCore
     bool beginExpansion(const DecodedInst &fetched);
     /** Adopt a just-produced expansion as the in-flight sequence. */
     void adoptExpansion(const ExpandResult &r);
-    /** run() body when the trace cache is enabled. */
-    void runTranslated(uint64_t maxInsts);
+    /**
+     * The one execution loop behind run(), advanceToAppInst and
+     * fillTrace: retire until result().dynInsts reaches @p maxInsts,
+     * termination, or a cancel poll. With the trace cache off it loops
+     * step(); otherwise it dispatches translated blocks to runChain,
+     * draining in-flight sequences and stepping untranslatable PCs
+     * (superblock chaining follows block exits inside runChain, so a
+     * hot loop rarely returns here). kEmit (fillTrace) writes one
+     * record per retirement through emit_ and re-enters the resume
+     * cursor's block mid-way; !kEmit neither reads nor sets the cursor.
+     */
+    template <bool kEmit> void drive(uint64_t maxInsts);
     /**
      * Execute the superblock chain starting at slot @p slot of @p block
      * (pc_ is that slot's PC: the entry PC for slot 0, the resume
@@ -504,7 +502,6 @@ class ExecCore
     bool seqHasPendingOutcome_ = false; ///< trigger branch seen, deferred
     bool seqPendingTaken_ = false;
     Addr seqPendingTarget_ = 0;
-    bool seqFirstEmitted_ = false;
     ExpandResult pendingExpand_;
     /** Re-point a suspended sequence at core-owned copies (see the
      *  group comment). Idempotent; no-op at an app boundary. */
@@ -540,7 +537,6 @@ class ExecCore
     /** @name Translated basic-block trace cache. */
     /// @{
     bool traceEnabled_ = true;
-    bool chainEnabled_ = true;
     /** Blocks keyed by entry PC; validated against the engine
      *  generation at dispatch. shared_ptr keeps the block a store
      *  inside it invalidates alive until the block exits. */

@@ -58,6 +58,7 @@
 
 #include "src/dise/engine.hpp"
 #include "src/isa/inst.hpp"
+#include "src/sim/semantics.hpp"
 
 namespace dise {
 
@@ -71,15 +72,19 @@ struct TransBlock;
  * subset that can appear in its slot stream.
  */
 enum class OpHandler : uint8_t {
-    /** @name Straight-line compute (both interpreters). */
+    /** @name Straight-line compute and loads (both interpreters), one
+     *  handler per entry of the src/sim/semantics.hpp lists. */
     /// @{
-    Nop, Lda, Ldah, Addq, Subq, Mulq, And, Bic, Or, Ornot, Xor,
-    Sll, Srl, Sra, Cmpeq, Cmplt, Cmple, Cmpult, Cmpule, Cmoveq, Cmovne,
+    Nop,
+#define DISE_HANDLER_NAME(name, ...) name,
+    DISE_ADDR_OPS(DISE_HANDLER_NAME)
+    DISE_ALU_OPS(DISE_HANDLER_NAME)
+    DISE_CMOV_OPS(DISE_HANDLER_NAME)
+    DISE_LOAD_OPS(DISE_HANDLER_NAME)
+#undef DISE_HANDLER_NAME
     /// @}
-    /** @name Memory (size/sign pre-resolved; both interpreters). */
-    /// @{
-    Ldbu, Ldl, Ldq, Store,
-    /// @}
+    /** Store (size pre-resolved; both interpreters). */
+    Store,
     /** @name Control (block: terminators; sequence: trigger-relative). */
     /// @{
     CondBranch, DirBranch, Jump,
@@ -92,9 +97,11 @@ enum class OpHandler : uint8_t {
     DiseCond, DiseBr,
     /// @}
     /** @name Fused internal ops (macro-op fusion ACF; block interpreter
-     *  only — fused ops never appear in replacement sequences). */
+     *  only — fused ops never appear in replacement sequences): the
+     *  FCMPBR terminator, and every other fused op as one straight-line
+     *  handler over ExecCore::executeFused. */
     /// @{
-    FCmpBr, FLdaC, FShAdd, FLdaL, FLdaS, FLdOp,
+    FCmpBr, Fused,
     /// @}
     /** Sentinel closing every slot array: block fall-through exit /
      *  replacement-sequence end. */

@@ -268,6 +268,217 @@ TEST(Exec, NormalExitHasExitOutcome)
     EXPECT_EQ(result.acfDetections, 0u);
 }
 
+// ---- Golden opcode values on every interpreter tier. ----
+//
+// All tiers instantiate the one opcode table (src/sim/semantics.hpp),
+// so fast-vs-slow identity cannot catch a wrong expression there. The
+// expected values below are written by hand; nothing under test
+// computes them.
+
+constexpr uint64_t kMin = uint64_t(1) << 63; // INT64_MIN
+constexpr uint64_t kMax = kMin - 1;          // INT64_MAX
+constexpr uint64_t kAll = ~uint64_t(0);      // -1
+constexpr uint64_t kOld = 0x5a5a;            // destination before the op
+constexpr uint64_t kHiLo = 0xff00ff00ff00ff00;
+constexpr uint64_t kMid = 0x0ff00ff00ff00ff0;
+
+/** `op t0, t1|#lit, dst` (ALU, cmov) or `op dst, 0(t5)` (load). */
+struct GoldenCase
+{
+    const char *op;
+    uint64_t a;      ///< t0 (loads: the quadword at t5)
+    uint64_t b;      ///< t1; unused in the literal form
+    int lit;         ///< >= 0: literal form with this 8-bit literal
+    const char *dst;
+    uint64_t expect; ///< dst afterwards
+};
+
+const GoldenCase kGolden[] = {
+    {"addq", kMax, 1, -1, "t2", kMin},
+    {"addq", kAll, 0, 1, "t2", 0},
+    {"addq", 1, 2, -1, "zero", 0},
+    {"subq", 0, 1, -1, "t2", kAll},
+    {"subq", kMin, 0, 1, "t2", kMax},
+    {"mulq", uint64_t(1) << 32, uint64_t(1) << 32, -1, "t2", 0},
+    {"mulq", kAll, 0, 3, "t2", kAll - 2},
+    {"and", kHiLo, kMid, -1, "t2", 0x0f000f000f000f00},
+    {"and", kAll, 0, 0x81, "t2", 0x81},
+    {"bic", kHiLo, kMid, -1, "t2", 0xf000f000f000f000},
+    {"bic", kAll, 0, 0xff, "t2", 0xffffffffffffff00},
+    {"or", kHiLo, kMid, -1, "t2", 0xfff0fff0fff0fff0},
+    {"or", kMin, 0, 1, "t2", kMin + 1},
+    {"ornot", 0, 0, -1, "t2", kAll},
+    {"ornot", kMin, kAll, -1, "t2", kMin},
+    {"ornot", 1, 0, 0xff, "t2", 0xffffffffffffff01},
+    {"xor", kHiLo, kMid, -1, "t2", 0xf0f0f0f0f0f0f0f0},
+    {"xor", kAll, 0, 0xff, "t2", 0xffffffffffffff00},
+    // Shift counts 0, 63, 64 and 127: only the low six bits count.
+    {"sll", kMin + 1, 0, -1, "t2", kMin + 1},
+    {"sll", kMin + 1, 0, 63, "t2", kMin},
+    {"sll", kMin + 1, 64, -1, "t2", kMin + 1},
+    {"sll", kMin + 1, 0, 127, "t2", kMin},
+    {"srl", kMin + 1, 0, 0, "t2", kMin + 1},
+    {"srl", kMin + 1, 63, -1, "t2", 1},
+    {"srl", kMin + 1, 0, 64, "t2", kMin + 1},
+    {"srl", kMin + 1, 127, -1, "t2", 1},
+    {"sra", kMin + 1, 0, -1, "t2", kMin + 1},
+    {"sra", kMin + 1, 0, 63, "t2", kAll},
+    {"sra", kMin + 1, 64, -1, "t2", kMin + 1},
+    {"sra", kMin + 1, 127, -1, "t2", kAll},
+    {"sra", kMax, 0, 127, "t2", 0},
+    // INT64_MIN, -1 and 0 under signed and unsigned compares.
+    {"cmpeq", kAll, kAll, -1, "t2", 1},
+    {"cmpeq", 0, kMin, -1, "t2", 0},
+    {"cmpeq", 7, 0, 7, "t2", 1},
+    {"cmplt", kMin, kAll, -1, "t2", 1},
+    {"cmplt", kAll, 0, -1, "t2", 1},
+    {"cmplt", 0, kMin, -1, "t2", 0},
+    {"cmplt", kAll, 0, 0, "t2", 1},
+    {"cmplt", kAll, 0, -1, "zero", 0},
+    {"cmple", kMin, kMin, -1, "t2", 1},
+    {"cmple", kAll, kMin, -1, "t2", 0},
+    {"cmple", 0, 0, 0, "t2", 1},
+    {"cmpult", kMin, kAll, -1, "t2", 1},
+    {"cmpult", kAll, 0, -1, "t2", 0},
+    {"cmpult", 0, kMin, -1, "t2", 1},
+    {"cmpult", kAll, 0, 255, "t2", 0},
+    {"cmpule", kAll, kMin, -1, "t2", 0},
+    {"cmpule", kMin, kMin, -1, "t2", 1},
+    {"cmpule", 255, 0, 255, "t2", 1},
+    // A failed conditional move leaves the destination as it was.
+    {"cmoveq", 0, 9, -1, "t2", 9},
+    {"cmoveq", kMin, 9, -1, "t2", kOld},
+    {"cmoveq", 0, 0, 5, "t2", 5},
+    {"cmoveq", 0, 9, -1, "zero", 0},
+    {"cmovne", kAll, 9, -1, "t2", 9},
+    {"cmovne", 0, 9, -1, "t2", kOld},
+    {"cmovne", kMin, 0, 200, "t2", 200},
+    // Loads of the little-endian quadword a.
+    {"ldbu", 0x80000000ffffff80, 0, -1, "t2", 0x80},
+    {"ldl", 0x80000000ffffff80, 0, -1, "t2", 0xffffffffffffff80},
+    {"ldl", 0x000000017fffffff, 0, -1, "t2", 0x7fffffff},
+    {"ldq", 0x80000000ffffff80, 0, -1, "t2", 0x80000000ffffff80},
+    {"ldq", kMin, 0, -1, "zero", 0},
+};
+
+struct GoldenRun
+{
+    uint64_t dst = 0;
+    RunResult result;
+    uint64_t blocksTranslated = 0;
+    uint64_t fusedPairs = 0;
+};
+
+/**
+ * Run @p body (after `main:`) with t0 = @p t0, t1 = @p t1, t2 = kOld,
+ * t3 = 2 (a loop count) and t5 pointing at a data quadword holding
+ * @p mem; an identity @p production, when given, routes the op through
+ * a replacement sequence.
+ */
+GoldenRun
+runGolden(const std::string &body, const char *dst, uint64_t mem,
+          uint64_t t0, uint64_t t1, bool traceCache, bool fusion = false,
+          const std::string &production = "")
+{
+    const Program prog = assemble(".text\nmain:\n" + body +
+                                  ".data\nbuf:\n    .quad 0\n");
+    DiseController controller;
+    if (!production.empty()) {
+        controller.install(std::make_shared<ProductionSet>(
+            parseProductions(production, prog.symbols)));
+    }
+    ExecCore core(prog, production.empty() ? nullptr : &controller);
+    core.setTraceCacheEnabled(traceCache);
+    core.setFusionEnabled(fusion);
+    const Addr buf = prog.symbols.at("buf");
+    core.memory().write(buf, mem, 8);
+    const auto reg = [](const char *name) { return *regFromName(name); };
+    core.setReg(reg("t0"), t0);
+    core.setReg(reg("t1"), t1);
+    core.setReg(reg("t2"), kOld);
+    core.setReg(reg("t3"), 2);
+    core.setReg(reg("t5"), buf);
+    GoldenRun out;
+    out.result = core.run(1000);
+    out.dst = core.reg(reg(dst));
+    out.blocksTranslated = core.traceCacheStats().blocksTranslated;
+    out.fusedPairs = core.fusedPairs();
+    return out;
+}
+
+TEST(Exec, GoldenOpcodeValuesOnEveryTier)
+{
+    for (const GoldenCase &c : kGolden) {
+        const std::string op = c.op;
+        const std::string src = c.lit >= 0 ? std::to_string(c.lit) : "t1";
+        SCOPED_TRACE(op + " " + src + " -> " + c.dst);
+        const bool load = op.rfind("ld", 0) == 0;
+        const std::string inst =
+            load ? "    " + op + " " + c.dst + ", 0(t5)\n"
+                 : "    " + op + " t0, " + src + ", " + c.dst + "\n";
+        // The op runs twice at one PC, so a covering production's
+        // second instance takes the slot's expansion memo.
+        const std::string loop = "loop:\n" + inst +
+                                 "    subq t3, 1, t3\n"
+                                 "    bne t3, loop\n"
+                                 "    syscall\n";
+
+        const GoldenRun slow = runGolden(loop, c.dst, c.a, c.a, c.b, false);
+        EXPECT_EQ(slow.dst, c.expect) << "step(), trace cache off";
+        EXPECT_EQ(slow.result.outcome, RunOutcome::Exit);
+
+        const GoldenRun block = runGolden(loop, c.dst, c.a, c.a, c.b, true);
+        EXPECT_EQ(block.dst, c.expect) << "translated block (runChain)";
+        EXPECT_GT(block.blocksTranslated, 0u);
+
+        const GoldenRun seq =
+            runGolden(loop, c.dst, c.a, c.a, c.b, true, false,
+                      "P1: op == " + op + " -> R1\nR1: T.INSN\n");
+        EXPECT_EQ(seq.dst, c.expect) << "memoized sequence (runSeqFast)";
+        EXPECT_GE(seq.result.expansions, 2u);
+
+        // Fused forms, on both tiers (fusePair never fuses a pair
+        // writing zero, nor MULQ or a cmov into a load).
+        if (std::string(c.dst) != "t2")
+            continue;
+        const auto expectFused = [&](const std::string &body, uint64_t mem,
+                                     uint64_t t0, uint64_t t1,
+                                     const char *form, int exitCode) {
+            for (const bool traceCache : {false, true}) {
+                const GoldenRun f =
+                    runGolden(body, "t2", mem, t0, t1, traceCache, true);
+                const char *tier = traceCache ? "translated" : "step()";
+                EXPECT_EQ(f.dst, c.expect) << form << ", " << tier;
+                EXPECT_EQ(f.fusedPairs, 1u) << form << ", " << tier;
+                EXPECT_EQ(f.result.exitCode, exitCode) << form;
+            }
+        };
+        if (load) {
+            expectFused("    lda t2, 0(t5)\n    " + op +
+                            " t2, 0(t2)\n    syscall\n",
+                        c.a, 0, 0, "FLDAL", 0);
+            continue;
+        }
+        if (op != "mulq" && op.rfind("cmov", 0) != 0) {
+            expectFused("    ldq t2, 0(t5)\n    " + op + " t2, " + src +
+                            ", t2\n    syscall\n",
+                        c.a, 0, c.b, "FLDOP", 0);
+            if (c.lit < 0) {
+                expectFused("    ldq t2, 0(t5)\n    " + op +
+                                " t1, t2, t2\n    syscall\n",
+                            c.b, 0, c.a, "FLDOP, swapped", 0);
+            }
+        }
+        if (op.rfind("cmp", 0) == 0) {
+            // Exit code 1 iff the fused branch saw a nonzero result.
+            expectFused(inst + "    bne t2, taken\n    syscall\n"
+                               "taken:\n    lda a0, 1(zero)\n"
+                               "    syscall\n",
+                        0, c.a, c.b, "FCMPBR", c.expect != 0 ? 1 : 0);
+        }
+    }
+}
+
 // ---- Replacement-sequence semantics. ----
 
 /** A program with one load between markers, plus an error handler. */

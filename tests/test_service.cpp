@@ -493,6 +493,62 @@ TEST(SimSession, ConcurrentRunAndBatchAreSafeAndBitIdentical)
     }
 }
 
+TEST(SimSession, CancelledWarmStartAndCampaignThrowWithoutLogging)
+{
+    // A deadline that trips before a warm start or a campaign finishes
+    // is an expected outcome: the run ends in FatalError (the caller
+    // reports deadline_exceeded) without a `fatal:` line on stderr.
+    RunRequest warm;
+    warm.source = kLoopSource;
+    warm.mfi = true;
+    warm.warmupInsts = 25;
+    RunRequest campaign = warm;
+    campaign.warmupInsts = 0;
+    campaign.mode = RunMode::Campaign;
+    campaign.trials = 4;
+
+    std::atomic<bool> cancel{true};
+    RunContext ctx;
+    ctx.cancel = &cancel;
+    SimSession session(SessionConfig{1});
+    for (const RunRequest &req : {warm, campaign}) {
+        testing::internal::CaptureStderr();
+        EXPECT_THROW(session.run(req, ctx), FatalError);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
+    }
+
+    // The campaign's snapshot pass: trip the flag only once the golden
+    // run is done (initCore runs once per core the campaign builds).
+    const Program prog = assemble(kLoopSource);
+    std::atomic<bool> late{false};
+    int cores = 0;
+    CampaignSetup setup;
+    setup.prog = &prog;
+    setup.makeAcf = [&prog] {
+        return std::make_shared<const ProductionSet>(
+            makeMfiProductions(prog, MfiOptions{}));
+    };
+    setup.initCore = [&prog, &late, &cores](ExecCore &core) {
+        initMfiRegisters(core, prog);
+        if (++cores == 2)
+            late = true;
+    };
+    CampaignConfig cfg;
+    cfg.trials = 4;
+    cfg.cancel = &late;
+    testing::internal::CaptureStderr();
+    std::string what;
+    try {
+        runCampaign(setup, cfg);
+    } catch (const FatalError &e) {
+        what = e.what();
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(what.find("snapshot pass"), std::string::npos) << what;
+    EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
+}
+
 // ---- Campaign: serial vs scheduler-parallel ----
 
 TEST(Campaign, ParallelTrialsMatchSerialBitForBit)

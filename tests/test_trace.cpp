@@ -120,18 +120,11 @@ expectIdentical(const RunSnapshot &fast, const RunSnapshot &slow)
  * corruption, ...) before the run finishes — at an identical point on
  * both paths, since the budget counts retired instructions.
  */
-/** Optional fast-path knobs for runMfi (all defaults = stock core). */
-struct MfiKnobs
-{
-    bool chaining = true; ///< superblock chaining on the fast path
-    size_t blockCap = 0;  ///< nonzero: setTraceBlockCap (eviction)
-};
-
 RunSnapshot
 runMfi(const Program &prog, bool traceCache,
        const std::function<void(ExecCore &, DiseController &)> &midRun =
            nullptr,
-       uint64_t phase1Insts = 0, const MfiKnobs &knobs = {})
+       uint64_t phase1Insts = 0, size_t blockCap = 0)
 {
     MfiOptions opts;
     opts.variant = MfiVariant::Dise3;
@@ -142,9 +135,8 @@ runMfi(const Program &prog, bool traceCache,
     ExecCore core(prog, &controller);
     initMfiRegisters(core, prog);
     core.setTraceCacheEnabled(traceCache);
-    core.setChainingEnabled(knobs.chaining);
-    if (knobs.blockCap)
-        core.setTraceBlockCap(knobs.blockCap);
+    if (blockCap)
+        core.setTraceBlockCap(blockCap); // nonzero: force evictions
     if (midRun) {
         core.run(phase1Insts);
         midRun(core, controller);
@@ -324,28 +316,19 @@ TEST(Trace, SequenceTrapsIdenticalAcrossPaths)
     EXPECT_EQ(results[1].dynInsts, results[0].dynInsts);
 }
 
-TEST(Trace, ChainingEngagesAndMatchesNoChainRun)
+TEST(Trace, ChainingEngagesAndMatchesSlowPath)
 {
     const Program prog = smallWorkload("bzip2");
 
     const RunSnapshot chained = runMfi(prog, true);
-    MfiKnobs noChain;
-    noChain.chaining = false;
-    const RunSnapshot unchained =
-        runMfi(prog, true, nullptr, 0, noChain);
-    expectIdentical(chained, unchained);
+    const RunSnapshot slow = runMfi(prog, false);
+    expectIdentical(chained, slow);
 
-    // The stats counters prove both modes did what they claim: the
-    // chained run followed patched edges, the unchained run never did.
+    // The stats counters prove the chained run followed patched edges.
     ExecCore probe(prog);
     probe.run();
     EXPECT_GT(probe.traceCacheStats().chainFollows, 0u);
     EXPECT_GT(probe.traceCacheStats().blocksTranslated, 0u);
-
-    ExecCore probeOff(prog);
-    probeOff.setChainingEnabled(false);
-    probeOff.run();
-    EXPECT_EQ(probeOff.traceCacheStats().chainFollows, 0u);
 }
 
 TEST(Trace, SmcInChainedSuccessorRepatchesStaleEdge)
@@ -381,9 +364,7 @@ TEST(Trace, EvictionPressureMidChainStaysIdentical)
     // graveyard). Everything must still be bit-identical.
     const Program prog = smallWorkload("bzip2");
 
-    MfiKnobs pressure;
-    pressure.blockCap = 2;
-    const RunSnapshot fast = runMfi(prog, true, nullptr, 0, pressure);
+    const RunSnapshot fast = runMfi(prog, true, nullptr, 0, 2);
     const RunSnapshot slow = runMfi(prog, false);
     expectIdentical(fast, slow);
 
