@@ -315,7 +315,8 @@ benchGuard(Fn &&fn)
         return 0;
     } catch (const PanicError &) {
         return 2;
-    } catch (const FatalError &) {
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;
     }
 }

@@ -34,7 +34,6 @@ panic(const std::string &msg)
 void
 fatal(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     throw FatalError(msg);
 }
 

@@ -5,7 +5,10 @@
  * panic() marks simulator bugs (conditions that should be impossible no
  * matter what the user does); fatal() marks user errors (bad configuration,
  * malformed assembly, invalid production syntax). Both throw typed
- * exceptions so that library users and tests can intercept them.
+ * exceptions so that library users and tests can intercept them. panic()
+ * also prints `panic: ...` to stderr; fatal() prints nothing — a user
+ * error is the caller's to report (a batch or served response carries it,
+ * a command-line tool prints `fatal: ...` once at its top level).
  */
 
 #ifndef DISE_COMMON_LOGGING_HPP
@@ -38,7 +41,7 @@ std::string strFormat(const char *fmt, ...)
 /** Report an internal simulator bug and throw PanicError. */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Report a user-level error and throw FatalError. */
+/** Throw FatalError for a user-level error (prints nothing). */
 [[noreturn]] void fatal(const std::string &msg);
 
 /** Print a non-fatal warning to stderr. */

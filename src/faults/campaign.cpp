@@ -225,10 +225,10 @@ runCampaign(const CampaignSetup &setup, const CampaignConfig &config,
     // Golden (fault-free) run: the classification baseline.
     RunContext golden = makeRun(setup, config.cancel);
     const RunResult gold = golden.core->run(config.maxGoldenInsts);
-    // A deadline cancel ends the golden run as a Hang: expected, so
-    // thrown directly rather than logged as a broken program.
+    // A deadline cancel ends the golden run as a Hang: reported as a
+    // cancel, not as a broken program.
     if (gold.outcome == RunOutcome::Hang && golden.core->cancelRequested())
-        throw FatalError("fault campaign: cancelled during golden run");
+        fatal("fault campaign: cancelled during golden run");
     if (gold.outcome != RunOutcome::Exit || gold.exitCode != 0) {
         fatal(strFormat("fault campaign: golden run did not exit "
                         "cleanly (outcome=%s code=%d)",
@@ -270,11 +270,9 @@ runCampaign(const CampaignSetup &setup, const CampaignConfig &config,
             pass.core->advanceToAppInst(kv.first);
             // A cancelled advance leaves the core short of the trigger
             // boundary — the snapshot would misposition every trial
-            // sharing it, so abandon the campaign here. Thrown directly:
-            // a deadline cancel is expected, and fatal() would log it.
+            // sharing it, so abandon the campaign here.
             if (pass.core->cancelRequested())
-                throw FatalError("fault campaign: cancelled during "
-                                 "snapshot pass");
+                fatal("fault campaign: cancelled during snapshot pass");
             auto snap = std::make_shared<SimSnapshot>();
             pass.core->saveSnapshot(*snap);
             kv.second = std::move(snap);

@@ -1,6 +1,12 @@
 #include "src/pipeline/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "src/common/bits.hpp"
 #include "src/common/logging.hpp"
@@ -9,11 +15,14 @@ namespace dise {
 
 namespace {
 
-/** Records per ExecCore::fillTrace batch on the trace-feed path.
- *  Sized so the ring (kFeedBatch * sizeof(DynInst)) stays L1-resident:
- *  the producer writes and the consumer reads every record exactly
- *  once, so a larger ring only adds cache traffic. */
-constexpr size_t kFeedBatch = 64;
+/**
+ * Batch slots between the feed's helper thread and the timing loop.
+ * Batches cross cores, so no slot stays cache-resident either way; a
+ * batch is large enough (PipelineSim::kFeedBatch) that one handoff per
+ * batch is noise, and three slots let the helper fill one while the
+ * timing loop reads another with one spare to absorb jitter.
+ */
+constexpr size_t kFeedSlots = 3;
 
 /** Commit-clock advance between deadline-cancel polls (step path). */
 constexpr uint64_t kCancelPollCycles = 0x10000;
@@ -634,52 +643,191 @@ PipelineSim::runStepDriven(uint64_t maxInsts, uint64_t maxCycles)
     return stop;
 }
 
+/**
+ * The feed's batch handoff. Batch k lives in slot k % kFeedSlots of
+ * feedBufs_: the helper publishes it by bumping @c filled, the timing
+ * loop frees it by bumping @c consumed. One mutex guards every field
+ * and one condition variable wakes whichever side waits — the helper
+ * for a free slot (or a larger grant), the timing loop for a batch (or
+ * the helper's end). The two never wait at the same time: while no
+ * batch is pending the helper has a free slot or quits. Destroying the
+ * channel stops and joins the helper, so no thread outlives a throw.
+ */
+struct PipelineSim::FeedChannel
+{
+    std::mutex m;
+    std::condition_variable cv;
+    uint64_t filled = 0;   ///< batches published by the helper
+    uint64_t consumed = 0; ///< batches the timing loop is done with
+    std::array<size_t, kFeedSlots> count{}; ///< records in each slot
+    /** Records the helper may produce in this run: the cycle budget's
+     *  run-ahead grant, unlimited without a budget. */
+    uint64_t grant = ~uint64_t(0);
+    bool stop = false; ///< the timing loop asks the helper to quit
+    bool done = false; ///< the helper has quit
+    std::exception_ptr error; ///< what the helper threw, if anything
+    std::thread helper;
+
+    FeedChannel() = default;
+    FeedChannel(const FeedChannel &) = delete;
+    FeedChannel &operator=(const FeedChannel &) = delete;
+
+    /** Stop the helper (if running) and wait for it. */
+    void
+    join()
+    {
+        if (!helper.joinable())
+            return;
+        {
+            std::lock_guard<std::mutex> lock(m);
+            stop = true;
+        }
+        cv.notify_one();
+        helper.join();
+    }
+
+    ~FeedChannel() { join(); }
+};
+
+void
+PipelineSim::produceFeed(FeedChannel &ch, uint64_t maxInsts)
+{
+    std::unique_lock<std::mutex> lock(ch.m, std::defer_lock);
+    try {
+        lock.lock();
+        uint64_t produced = 0;
+        while (produced < maxInsts) {
+            const uint64_t want =
+                std::min<uint64_t>(kFeedBatch, maxInsts - produced);
+            // A free slot and a grant covering the whole batch. Once
+            // every published batch is consumed the grant cannot grow
+            // any more: the rest is the timing loop's inline tail.
+            ch.cv.wait(lock, [&] {
+                return ch.stop || ch.filled == ch.consumed ||
+                       (ch.filled - ch.consumed < kFeedSlots &&
+                        produced + want <= ch.grant);
+            });
+            if (ch.stop || produced + want > ch.grant)
+                break;
+            const size_t slot = size_t(ch.filled % kFeedSlots);
+            lock.unlock();
+            const size_t n = core_.fillTrace(
+                feedBufs_.data() + slot * kFeedBatch, size_t(want));
+            // A cancel ends the stream here; the timing loop drains
+            // what was published and reports it.
+            const bool end = n == 0 || core_.cancelRequested();
+            lock.lock();
+            if (n != 0) {
+                ch.count[slot] = n;
+                ++ch.filled;
+                produced += n;
+                ch.cv.notify_one();
+            }
+            if (end)
+                break;
+        }
+    } catch (...) {
+        if (!lock.owns_lock())
+            lock.lock();
+        ch.error = std::current_exception();
+    }
+    ch.done = true;
+    ch.cv.notify_one();
+}
+
 PipelineSim::RunStop
 PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
 {
-    if (ring_.empty())
-        ring_.resize(kFeedBatch);
     const bool sampling = samplePeriod_ != 0;
     // Derived ring cursors for the kFast structural-hazard walk (see
     // timeInst): recomputed here rather than checkpointed, so snapshot
     // layout stays independent of the feed implementation.
     robIdx_ = size_t(instIndex_ % params_.robEntries);
     rsIdx_ = size_t(instIndex_ % params_.rsEntries);
+    // Records the stream may run ahead of the last timed one: that many
+    // cannot pass the cycle budget (unlimited without one).
+    const auto runAhead = [&]() -> uint64_t {
+        if (maxCycles == 0)
+            return ~uint64_t(0);
+        return lastCommit_ < maxCycles
+                   ? (maxCycles - lastCommit_) / perInstCycleBound_
+                   : 0;
+    };
+
+    // A run that spans more than one batch fills on a helper thread;
+    // one that fits in a batch (or cannot start one) fills inline.
+    FeedChannel ch;
+    ch.grant = runAhead();
+    bool helper = std::min(maxInsts, ch.grant) > kFeedBatch &&
+                  !core_.exited() && !core_.trapped() &&
+                  !core_.cancelRequested();
+    const size_t slots = helper ? kFeedSlots : 1;
+    if (feedBufs_.size() < slots * kFeedBatch)
+        feedBufs_.resize(slots * kFeedBatch);
+    if (helper) {
+        try {
+            ch.helper = std::thread(&PipelineSim::produceFeed, this,
+                                    std::ref(ch), maxInsts);
+        } catch (const std::system_error &) {
+            helper = false;
+        }
+    }
+
     RunStop stop;
     while (stop.steps < maxInsts) {
-        uint64_t want =
-            std::min<uint64_t>(kFeedBatch, maxInsts - stop.steps);
-        bool bounded = false;
-        if (maxCycles != 0 && phaseDetail_) {
-            // Size the batch so a full batch cannot overshoot the
-            // budget; once the remaining headroom is under one
-            // per-instruction bound, run record-at-a-time so the budget
-            // check below stops on exactly the same instruction as the
-            // per-step reference.
-            const uint64_t headroom = maxCycles - lastCommit_;
-            const uint64_t allowed = headroom / perInstCycleBound_;
-            if (allowed == 0) {
-                want = 1;
-            } else {
-                want = std::min(want, allowed);
-                bounded = true;
+        const DynInst *batch = feedBufs_.data();
+        size_t n = 0;
+        // A helper batch always lies within the grant; an inline batch
+        // is sized from the headroom, and once that is under one
+        // per-instruction bound the tail runs record-at-a-time so the
+        // budget check below stops on exactly the same instruction as
+        // the per-step reference.
+        bool bounded = maxCycles != 0;
+        if (helper) {
+            std::unique_lock<std::mutex> lock(ch.m);
+            ch.cv.wait(lock,
+                       [&] { return ch.filled != ch.consumed || ch.done; });
+            if (ch.done && (ch.error || ch.filled == ch.consumed)) {
+                lock.unlock();
+                ch.join();
+                helper = false;
+                if (ch.error)
+                    std::rethrow_exception(ch.error);
+                continue; // the rest, if any, fills inline
             }
-        }
-        const size_t n = core_.fillTrace(ring_.data(), size_t(want));
-        if (n == 0) {
-            // Program exit/trap, or a cancel before any progress.
-            if (core_.cancelRequested())
+            const size_t slot = size_t(ch.consumed % kFeedSlots);
+            batch += slot * kFeedBatch;
+            n = ch.count[slot];
+        } else {
+            if (core_.cancelRequested()) {
                 stop.cycleBudgetExpired = true;
-            break;
+                break;
+            }
+            uint64_t want =
+                std::min<uint64_t>(kFeedBatch, maxInsts - stop.steps);
+            const uint64_t ahead = runAhead();
+            if (ahead == 0) {
+                want = 1;
+                bounded = false;
+            } else {
+                want = std::min(want, ahead);
+            }
+            n = core_.fillTrace(feedBufs_.data(), size_t(want));
+            if (n == 0) {
+                // Program exit/trap, or a cancel before any progress.
+                if (core_.cancelRequested())
+                    stop.cycleBudgetExpired = true;
+                break;
+            }
         }
         if (!sampling) {
             // Dedicated full-detail loop: no per-record mode dispatch in
             // the common (unsampled) configuration.
             for (size_t i = 0; i < n; ++i)
-                timeInst<true>(ring_[i]);
+                timeInst<true>(batch[i]);
         } else {
             for (size_t i = 0; i < n; ++i) {
-                const DynInst &dyn = ring_[i];
+                const DynInst &dyn = batch[i];
                 // Phase switches wait for an application boundary so a
                 // replacement sequence is never split across modes.
                 if (phaseLeft_ == 0 &&
@@ -710,28 +858,31 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
             }
         }
         stop.steps += n;
-        if (maxCycles != 0) {
-            if (bounded) {
-                // The batch was sized from perInstCycleBound_; a trip
-                // here means the bound is wrong — fail loudly rather
-                // than stop on a different instruction than the
-                // reference would.
-                DISE_ASSERT(lastCommit_ <= maxCycles,
-                            "per-instruction cycle bound violated by a "
-                            "trace-feed batch");
-            } else if (lastCommit_ > maxCycles) {
-                stop.cycleBudgetExpired = true;
-                break;
+        if (helper) {
+            {
+                std::lock_guard<std::mutex> lock(ch.m);
+                ++ch.consumed;
+                if (maxCycles != 0)
+                    ch.grant = stop.steps + runAhead();
             }
+            ch.cv.notify_one();
         }
-        // Deadline poll once per batch (finer than the reference's
-        // 1024-instruction stride).
-        lastCancelPollCommit_ = lastCommit_;
-        if (core_.cancelRequested()) {
+        if (bounded) {
+            // The batch was sized from perInstCycleBound_; a trip here
+            // means the bound is wrong — fail loudly rather than stop
+            // on a different instruction than the reference would.
+            DISE_ASSERT(lastCommit_ <= maxCycles,
+                        "per-instruction cycle bound violated by a "
+                        "trace-feed batch");
+        } else if (maxCycles != 0 && lastCommit_ > maxCycles) {
             stop.cycleBudgetExpired = true;
             break;
         }
+        lastCancelPollCommit_ = lastCommit_;
     }
+    ch.join();
+    if (ch.error)
+        std::rethrow_exception(ch.error);
     return stop;
 }
 

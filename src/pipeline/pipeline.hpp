@@ -32,8 +32,13 @@
  * dynamic stream in batches through ExecCore::fillTrace (the trace
  * feed), which keeps the architectural interpreter in its fast
  * dispatch loop and times each batch with inlined cache/predictor
- * accessors. setTraceFeed(false) falls back to per-instruction
- * ExecCore::step — the bit-identical reference path. On top of the
+ * accessors. A run long enough to span more than one batch fills the
+ * batches on a helper thread, so the interpreter and the timing model
+ * run concurrently on two cores; the helper never runs ahead of the
+ * run's instruction or cycle budget, so the state a run leaves is the
+ * state a single-threaded feed would leave. setTraceFeed(false) falls
+ * back to per-instruction ExecCore::step — the bit-identical reference
+ * path, always single-threaded. On top of the
  * feed, setSampling enables SMARTS-style sampled timing: periodic
  * detailed windows with functional warming (caches + branch predictor
  * only, zero cycles) in between, reporting measured CPI over the
@@ -211,6 +216,14 @@ class PipelineSim
 {
   public:
     /**
+     * Records per trace-feed batch: the unit the helper thread fills
+     * and hands to the timing model. Chosen by a sweep (EXPERIMENTS.md,
+     * "Overlapped trace feed"): smaller batches pay the cross-core
+     * handoff too often, larger ones gain nothing and cost memory.
+     */
+    static constexpr size_t kFeedBatch = 4096;
+
+    /**
      * @param prog Program image.
      * @param params Machine configuration.
      * @param controller Optional DISE controller (engine placement and
@@ -228,6 +241,12 @@ class PipelineSim
      * @param maxCycles Cycle budget (0 = unlimited): the timing-level
      *                  watchdog — stops the run once the commit clock
      *                  passes the budget, also a Hang outcome.
+     *
+     * On the trace feed, a run longer than one kFeedBatch uses one
+     * helper thread for the functional core (joined before run()
+     * returns). Under a cycle budget the helper only runs ahead by
+     * what the headroom provably covers (perInstCycleBound()); the
+     * last stretch before the budget runs on the calling thread.
      */
     TimingResult run(uint64_t maxInsts = ~uint64_t(0),
                      uint64_t maxCycles = 0);
@@ -251,6 +270,13 @@ class PipelineSim
      * schedule at a detailed window.
      */
     void setSampling(uint64_t period, uint64_t detail);
+
+    /**
+     * Worst-case commit-clock advance of one instruction: a cycle
+     * budget only lets the feed run ahead by its headroom divided by
+     * this bound (see run()).
+     */
+    uint64_t perInstCycleBound() const { return perInstCycleBound_; }
 
     ExecCore &core() { return core_; }
     MemHierarchy &mem() { return mem_; }
@@ -338,9 +364,26 @@ class PipelineSim
     /** The reference loop: ExecCore::step per instruction. */
     RunStop runStepDriven(uint64_t maxInsts, uint64_t maxCycles);
 
-    /** The batched loop: ExecCore::fillTrace, timing or warming each
-     *  record; owns the sampling phase schedule. */
+    /** Batch handoff between the feed's helper thread and the timing
+     *  loop (defined in pipeline.cpp). */
+    struct FeedChannel;
+
+    /**
+     * The batched loop: timing or warming each ExecCore::fillTrace
+     * record; owns the sampling phase schedule. The batches come from
+     * a helper thread running produceFeed when the run spans more than
+     * one batch, and are filled inline otherwise (and for the tail of
+     * a cycle-budgeted run); either way this one loop consumes them.
+     */
     RunStop runFeed(uint64_t maxInsts, uint64_t maxCycles);
+
+    /**
+     * The helper thread's body: fill batches into the channel's slots
+     * until the instruction budget, the cycle-budget grant, program
+     * termination, a cancel, or a stop request from the timing loop.
+     * From spawn to join it is the only code that touches core_.
+     */
+    void produceFeed(FeedChannel &ch, uint64_t maxInsts);
 
     /**
      * Functionally warm one instruction (sampling gaps): replicate
@@ -455,14 +498,16 @@ class PipelineSim
     uint64_t lastCancelPollCommit_ = 0;
     /**
      * Static per-instruction commit-clock advance bound: on the feed
-     * path a batch of n records is only timed when the cycle budget has
-     * n * bound headroom, so the budget check can stay per-batch and
-     * still stop on exactly the same instruction as the per-step
+     * path a batch of n records is only produced when the cycle budget
+     * has n * bound headroom, so the budget check can stay per-batch
+     * and still stop on exactly the same instruction as the per-step
      * reference (the tail runs record-at-a-time). Asserted after every
      * bounded batch.
      */
     uint64_t perInstCycleBound_ = 0;
-    std::vector<DynInst> ring_; ///< feed batch buffer (lazy)
+    /** Feed batch slots, kFeedBatch records each (lazy): the helper
+     *  fills them round-robin; an inline fill uses the first. */
+    std::vector<DynInst> feedBufs_;
     /** Incremental commit/issue-ring cursors for the kFast hazard walk;
      *  derived (instIndex_ mod ring size) at runFeed entry, never
      *  checkpointed. The reference path keeps the plain modulo. */

@@ -187,10 +187,9 @@ takeWarmupSnapshot(const PreparedJob &job, uint64_t warmupAppInsts,
         job.initCore(core);
     core.advanceToAppInst(warmupAppInsts);
     // A deadline can cancel the warm-up: an expected outcome the caller
-    // reports, so thrown directly (fatal() would log it to stderr).
+    // reports.
     if (core.cancelRequested())
-        throw FatalError("warmup snapshot cancelled before reaching its "
-                         "target");
+        fatal("warmup snapshot cancelled before reaching its target");
     // A clean exit during warmup is fine — the snapshot degenerates to
     // the finished run. A trap is not: the guest broke before the
     // warmup point, and resuming a trapped core would silently report

@@ -655,11 +655,9 @@ SimServer::executeJob(const std::shared_ptr<Job> &job)
                 // A cancel-tripped run carries a truncated result
                 // (outcome Hang at wherever the flag was noticed);
                 // throwing keeps it out of the cache — retryFailures
-                // means the key stays clean for in-budget retries. An
-                // expected outcome, so thrown directly: fatal() would
-                // log it to the daemon's stderr.
+                // means the key stays clean for in-budget retries.
                 if (job->cancel.load(std::memory_order_relaxed))
-                    throw FatalError("deadline exceeded during execution");
+                    fatal("deadline exceeded during execution");
                 return r.toJson().dump();
             });
         if (job->cancel.load(std::memory_order_relaxed)) {

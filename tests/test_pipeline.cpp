@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "src/acf/mfi.hpp"
 #include "src/common/logging.hpp"
 #include "src/assembler/assembler.hpp"
@@ -257,6 +261,40 @@ TEST(Pipeline, CycleBudgetYieldsHangOutcome)
     // instruction cap.
     EXPECT_GT(result.cycles, 2000u);
     EXPECT_LT(result.cycles, 4000u);
+}
+
+TEST(Pipeline, CancelFromAnotherThreadYieldsHangAndResumes)
+{
+    // Millions of instructions: a trip 10 ms in lands mid-run, while the
+    // feed's helper thread is filling batches.
+    const Program prog =
+        loopProgram(1000000, "    addq t1, 3, t1\n    xor t1, t0, t2\n");
+    PipelineSim whole(prog, PipelineParams{});
+    const TimingResult want = whole.run();
+    ASSERT_EQ(want.arch.outcome, RunOutcome::Exit);
+
+    std::atomic<bool> cancel{false};
+    PipelineSim sim(prog, PipelineParams{});
+    sim.core().setCancelFlag(&cancel);
+    std::thread tripper([&cancel] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        cancel.store(true);
+    });
+    const TimingResult cut = sim.run();
+    tripper.join();
+    EXPECT_EQ(cut.arch.outcome, RunOutcome::Hang);
+    EXPECT_LT(cut.arch.dynInsts, want.arch.dynInsts);
+
+    // The helper was joined and every record it produced was timed
+    // before run() returned: running on from the cut lands exactly on
+    // the uninterrupted result.
+    cancel.store(false);
+    const TimingResult rest = sim.run();
+    EXPECT_EQ(rest.arch.outcome, RunOutcome::Exit);
+    EXPECT_EQ(rest.arch.dynInsts, want.arch.dynInsts);
+    EXPECT_EQ(rest.cycles, want.cycles);
+    EXPECT_EQ(rest.mispredicts, want.mispredicts);
+    EXPECT_EQ(rest.buckets.hazard, want.buckets.hazard);
 }
 
 TEST(Pipeline, ArchResultsMatchFunctionalRun)

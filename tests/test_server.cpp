@@ -381,18 +381,32 @@ TEST(SimServer, DeadlineExceededIsStructuredNotFatal)
     ServerFixture fx;
     Client client(fx.server.port());
 
-    // An expensive run with a 1 ms budget cannot finish; the deadline
-    // monitor must end it cooperatively with a structured status.
-    Json doomed = runReq("doomed", "mcf");
-    doomed["deadline_ms"] = Json(uint64_t(1));
-    client.sendLine(doomed);
-    Json resp = client.readSeq(1);
-    EXPECT_EQ(resp["status"].asString(), "deadline_exceeded");
-    EXPECT_FALSE(resp["ok"].asBool());
+    // Expensive runs with a 1 ms budget cannot finish; the deadline
+    // monitor must end each cooperatively with a structured status —
+    // functional, full-detail timing (whose feed fills on a helper
+    // thread) and sampled timing alike — and log nothing fatal.
+    Json timing = runReq("doomed-timing", "mcf");
+    timing["mode"] = Json("timing");
+    Json sampled = runReq("doomed-sampled", "mcf");
+    sampled["mode"] = Json("timing");
+    sampled["sample_period"] = Json(uint64_t(10000));
+    sampled["sample_detail"] = Json(uint64_t(2000));
+    testing::internal::CaptureStderr();
+    uint64_t seq = 0;
+    for (Json doomed : {runReq("doomed", "mcf"), timing, sampled}) {
+        SCOPED_TRACE(doomed["id"].asString());
+        doomed["deadline_ms"] = Json(uint64_t(1));
+        client.sendLine(doomed);
+        Json resp = client.readSeq(++seq);
+        EXPECT_EQ(resp["status"].asString(), "deadline_exceeded");
+        EXPECT_FALSE(resp["ok"].asBool());
 
-    // The daemon is unharmed; the next request succeeds.
-    client.sendLine(runReq("after"));
-    EXPECT_EQ(client.readSeq(2)["status"].asString(), "ok");
+        // The daemon is unharmed; the next request succeeds.
+        client.sendLine(runReq("after"));
+        EXPECT_EQ(client.readSeq(++seq)["status"].asString(), "ok");
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
 }
 
 TEST(SimServer, BackpressureShedsWithRetryAfter)

@@ -549,6 +549,32 @@ TEST(SimSession, CancelledWarmStartAndCampaignThrowWithoutLogging)
     EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
 }
 
+TEST(SimSession, BatchErrorsAreReturnedNotLogged)
+{
+    // A user error is the response's to report: a batch of inline
+    // programs that name an unknown symbol answers each with its error
+    // and writes no `fatal:` line to stderr.
+    std::vector<RunRequest> reqs(3);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = strFormat("bad-%zu", i);
+        reqs[i].source =
+            strFormat(".text\nmain:\n    br zero, nowhere%zu\n", i);
+        reqs[i].mode = i == 1 ? RunMode::Timing : RunMode::Functional;
+    }
+    testing::internal::CaptureStderr();
+    const std::vector<RunResponse> out =
+        SimSession(SessionConfig{2}).runBatch(reqs);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
+    ASSERT_EQ(out.size(), reqs.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_FALSE(out[i].ok);
+        const std::string want = strFormat("unknown symbol nowhere%zu", i);
+        EXPECT_NE(out[i].error.find(want), std::string::npos)
+            << out[i].error;
+    }
+}
+
 // ---- Campaign: serial vs scheduler-parallel ----
 
 TEST(Campaign, ParallelTrialsMatchSerialBitForBit)

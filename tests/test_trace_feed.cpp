@@ -401,17 +401,52 @@ struct TimingRun
     std::string registry;
 };
 
+/** Small caches: real miss traffic. */
+PipelineParams
+feedParams()
+{
+    PipelineParams params;
+    params.mem.l1dSize = 2048;
+    params.mem.l1iSize = 2048;
+    return params;
+}
+
+/**
+ * One-cycle L2 and memory, a one-wide machine and a one-stage front
+ * end: a per-instruction cycle bound small enough that a cycle budget
+ * spanning several feed batches of run-ahead stays a short test.
+ */
+PipelineParams
+tightParams()
+{
+    PipelineParams params = feedParams();
+    params.width = 1;
+    params.frontendDepth = 1;
+    params.syscallLatency = 1;
+    params.mem.l2Latency = 1;
+    params.mem.memLatency = 2;
+    return params;
+}
+
+constexpr unsigned long long kBatch = PipelineSim::kFeedBatch;
+
+/**
+ * One timing run of @p prog. A nonzero @p chunk runs it as a series of
+ * run(chunk) calls, each shorter than a feed batch so every record is
+ * filled inline, until the program ends or the cycle budget expires:
+ * the single-threaded oracle for runs (sampled ones) that have no
+ * step-driven reference.
+ */
 TimingRun
 runPipeline(const Program &prog, bool traceFeed, bool mfi,
             uint64_t maxInsts = ~uint64_t(0), uint64_t maxCycles = 0,
-            uint64_t period = 0, uint64_t detail = 0)
+            uint64_t period = 0, uint64_t detail = 0,
+            const PipelineParams &params = feedParams(),
+            uint64_t chunk = 0)
 {
     std::unique_ptr<DiseController> controller;
     if (mfi)
         controller = mfiController(prog);
-    PipelineParams params;
-    params.mem.l1dSize = 2048; // small caches: real miss traffic
-    params.mem.l1iSize = 2048;
     PipelineSim sim(prog, params, controller.get());
     sim.setTraceFeed(traceFeed);
     if (period != 0)
@@ -419,7 +454,15 @@ runPipeline(const Program &prog, bool traceFeed, bool mfi,
     if (mfi)
         initMfiRegisters(sim.core(), prog);
     TimingRun run;
-    run.t = sim.run(maxInsts, maxCycles);
+    if (chunk == 0) {
+        run.t = sim.run(maxInsts, maxCycles);
+    } else {
+        EXPECT_LT(chunk, kBatch);
+        do {
+            run.t = sim.run(chunk, maxCycles);
+        } while (run.t.arch.outcome == RunOutcome::Hang &&
+                 (maxCycles == 0 || run.t.cycles <= maxCycles));
+    }
     run.registry = registryDump(sim);
     return run;
 }
@@ -447,21 +490,58 @@ expectSameTiming(const TimingRun &feed, const TimingRun &step)
 
 TEST(TraceFeed, PipelineFeedMatchesStep)
 {
-    const Program prog = mixedProgramWithHelper(400);
-    for (const bool mfi : {false, true}) {
-        const TimingRun feed = runPipeline(prog, true, mfi);
-        const TimingRun step = runPipeline(prog, false, mfi);
-        ASSERT_EQ(feed.t.arch.outcome, RunOutcome::Exit);
-        expectSameTiming(feed, step);
+    // 100 iterations fit in one feed batch (filled inline); 400 and
+    // 1500 span several, filled on the helper thread.
+    for (const int iters : {100, 400, 1500}) {
+        const Program prog = mixedProgramWithHelper(iters);
+        for (const bool mfi : {false, true}) {
+            SCOPED_TRACE(strFormat("%d iters%s", iters, mfi ? " mfi" : ""));
+            const TimingRun feed = runPipeline(prog, true, mfi);
+            const TimingRun step = runPipeline(prog, false, mfi);
+            ASSERT_EQ(feed.t.arch.outcome, RunOutcome::Exit);
+            expectSameTiming(feed, step);
+        }
     }
+    EXPECT_LT(runPipeline(mixedProgramWithHelper(100), true, true)
+                  .t.arch.dynInsts,
+              kBatch);
+
+    // Sampling phase switches on batch edges (no MFI: every record is
+    // an application boundary, so a switch lands exactly on its
+    // count). detail == period == kBatch re-arms a detailed window at
+    // each edge, which is full detail, so the step path is the
+    // reference; period 2 * kBatch alternates detail and warming
+    // windows at every edge, checked against the same run filled
+    // inline in sub-batch chunks.
+    const Program prog = mixedProgramWithHelper(1500);
+    const TimingRun step = runPipeline(prog, false, false);
+    ASSERT_GT(step.t.arch.dynInsts, 3 * kBatch);
+    expectSameTiming(
+        runPipeline(prog, true, false, ~uint64_t(0), 0, kBatch, kBatch),
+        step);
+    const TimingRun sampled = runPipeline(prog, true, false, ~uint64_t(0),
+                                          0, 2 * kBatch, kBatch);
+    const TimingRun chunked =
+        runPipeline(prog, true, false, ~uint64_t(0), 0, 2 * kBatch, kBatch,
+                    feedParams(), 1000);
+    expectSameTiming(sampled, chunked);
+    EXPECT_EQ(sampled.t.sampling.sampledInsts,
+              chunked.t.sampling.sampledInsts);
+    EXPECT_EQ(sampled.t.sampling.warmedInsts,
+              chunked.t.sampling.warmedInsts);
+    EXPECT_GT(sampled.t.sampling.warmedInsts, 0u);
 }
 
 TEST(TraceFeed, MaxInstsExpiresMidBatch)
 {
-    // 501 is not a multiple of any batch size: the feed must stop on
-    // exactly the same instruction as the per-step reference.
-    const Program prog = mixedProgramWithHelper(400);
-    for (const uint64_t cap : {501ull, 63ull, 64ull, 65ull, 1ull}) {
+    // Caps inside, on and just past one and two feed batches, and 501,
+    // which is no batch multiple: the feed must stop on exactly the
+    // same instruction as the per-step reference.
+    const Program prog = mixedProgramWithHelper(1500);
+    for (const uint64_t cap : {501ull, 63ull, 64ull, 65ull, 1ull,
+                               kBatch - 1, kBatch, kBatch + 1,
+                               2 * kBatch + 1}) {
+        SCOPED_TRACE(strFormat("cap %llu", (unsigned long long)cap));
         const TimingRun feed = runPipeline(prog, true, true, cap);
         const TimingRun step = runPipeline(prog, false, true, cap);
         ASSERT_EQ(feed.t.arch.dynInsts, cap);
@@ -481,6 +561,57 @@ TEST(TraceFeed, MaxCyclesExpiresMidBatch)
         ASSERT_EQ(feed.t.arch.outcome, RunOutcome::Hang);
         expectSameTiming(feed, step);
     }
+
+    // Budgets measured in run-ahead grants: the helper may only fill a
+    // batch the headroom provably covers (headroom / bound records).
+    // kBatch grants fill everything inline; kBatch + 1 lets the helper
+    // fill exactly one batch before the grant stops covering the next
+    // (the grant edge); 3 * kBatch runs the helper for several batches.
+    // Every budget expires in the inline tail, on the reference's
+    // instruction.
+    const PipelineParams tight = tightParams();
+    const uint64_t bound = PipelineSim(prog, tight).perInstCycleBound();
+    const Program big = mixedProgramWithHelper(80000);
+    const TimingRun whole = runPipeline(big, true, false, ~uint64_t(0), 0,
+                                        0, 0, tight);
+    ASSERT_EQ(whole.t.arch.outcome, RunOutcome::Exit);
+    for (const uint64_t grants : {kBatch, kBatch + 1, 3 * kBatch}) {
+        const uint64_t budget = grants * bound;
+        SCOPED_TRACE(strFormat("budget %llu", (unsigned long long)budget));
+        ASSERT_GT(whole.t.cycles, budget);
+        const TimingRun feed =
+            runPipeline(big, true, false, ~uint64_t(0), budget, 0, 0, tight);
+        const TimingRun step = runPipeline(big, false, false, ~uint64_t(0),
+                                           budget, 0, 0, tight);
+        ASSERT_EQ(feed.t.arch.outcome, RunOutcome::Hang);
+        expectSameTiming(feed, step);
+    }
+
+    // A budget the clock has already passed when run() starts: one
+    // record, as on the step path (the headroom is zero, not negative).
+    for (const bool traceFeed : {true, false}) {
+        PipelineSim sim(prog, feedParams());
+        sim.setTraceFeed(traceFeed);
+        const TimingResult first = sim.run(700);
+        const TimingResult second = sim.run(~uint64_t(0), first.cycles / 2);
+        EXPECT_EQ(second.arch.outcome, RunOutcome::Hang);
+        EXPECT_EQ(second.arch.dynInsts, 701u);
+    }
+
+    // Sampled: the run stops on the first record whose commit passes
+    // the budget however the records were batched.
+    const uint64_t budget = 3 * kBatch * bound / 2;
+    const TimingRun sampled = runPipeline(big, true, false, ~uint64_t(0),
+                                          budget, 3000, 2000, tight);
+    const TimingRun chunked = runPipeline(big, true, false, ~uint64_t(0),
+                                          budget, 3000, 2000, tight, 1000);
+    ASSERT_EQ(sampled.t.arch.outcome, RunOutcome::Hang);
+    EXPECT_GT(sampled.t.cycles, budget);
+    expectSameTiming(sampled, chunked);
+    EXPECT_EQ(sampled.t.sampling.sampledInsts,
+              chunked.t.sampling.sampledInsts);
+    EXPECT_EQ(sampled.t.sampling.warmedInsts,
+              chunked.t.sampling.warmedInsts);
 }
 
 // ---------------------------------------------------------------------
@@ -489,34 +620,44 @@ TEST(TraceFeed, MaxCyclesExpiresMidBatch)
 
 TEST(TraceFeed, SnapshotMidBatchMatchesUninterrupted)
 {
-    const Program prog = mixedProgramWithHelper(400);
-    const TimingRun want = runPipeline(prog, true, true);
-    ASSERT_EQ(want.t.arch.outcome, RunOutcome::Exit);
-
     // Stop at instruction counts that land inside (501) and exactly on
-    // (512) a feed batch, snapshot, restore into a fresh simulator,
-    // finish there, and require the uninterrupted numbers.
-    for (const uint64_t splitAt : {501ull, 512ull}) {
-        auto controller = mfiController(prog);
-        PipelineParams params;
-        params.mem.l1dSize = 2048;
-        params.mem.l1iSize = 2048;
-        PipelineSim split(prog, params, controller.get());
-        split.setTraceFeed(true);
-        initMfiRegisters(split.core(), prog);
-        const TimingResult mid = split.run(splitAt);
-        ASSERT_EQ(mid.arch.outcome, RunOutcome::Hang);
-        TimingSnapshot snap;
-        split.saveSnapshot(snap);
+    // (512, kBatch, 2 * kBatch) a feed batch, snapshot, restore into a
+    // fresh simulator, finish there (on the helper thread), and require
+    // the uninterrupted numbers. The batch multiples run without MFI: a
+    // split must be an application boundary, and with MFI those counts
+    // land inside a replacement sequence.
+    const Program prog = mixedProgramWithHelper(1500);
+    const PipelineParams params = feedParams();
+    for (const bool mfi : {true, false}) {
+        const TimingRun want = runPipeline(prog, true, mfi);
+        ASSERT_EQ(want.t.arch.outcome, RunOutcome::Exit);
+        ASSERT_GT(want.t.arch.dynInsts, 3 * kBatch);
+        const std::vector<unsigned long long> splits =
+            mfi ? std::vector<unsigned long long>{501, 512}
+                : std::vector<unsigned long long>{501, kBatch, 2 * kBatch};
+        for (const unsigned long long splitAt : splits) {
+            SCOPED_TRACE(strFormat("split %llu%s", splitAt,
+                                   mfi ? " mfi" : ""));
+            std::unique_ptr<DiseController> c1, c2;
+            if (mfi) {
+                c1 = mfiController(prog);
+                c2 = mfiController(prog);
+            }
+            PipelineSim split(prog, params, c1.get());
+            if (mfi)
+                initMfiRegisters(split.core(), prog);
+            const TimingResult mid = split.run(splitAt);
+            ASSERT_EQ(mid.arch.outcome, RunOutcome::Hang);
+            TimingSnapshot snap;
+            split.saveSnapshot(snap);
 
-        auto controller2 = mfiController(prog);
-        PipelineSim fresh(prog, params, controller2.get());
-        fresh.setTraceFeed(true);
-        TimingRun got;
-        fresh.restoreSnapshot(snap);
-        got.t = fresh.run();
-        got.registry = registryDump(fresh);
-        expectSameTiming(got, want);
+            PipelineSim fresh(prog, params, c2.get());
+            TimingRun got;
+            fresh.restoreSnapshot(snap);
+            got.t = fresh.run();
+            got.registry = registryDump(fresh);
+            expectSameTiming(got, want);
+        }
     }
 }
 

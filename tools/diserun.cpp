@@ -191,9 +191,9 @@ usage(const char *argv0)
 
 /**
  * Run one of the strict bench_config parsers over a flag value; on a
- * malformed token the parser's fatal() diagnostic (naming the flag and
- * the offending text) lands on stderr and we exit with usage, never
- * with a half-parsed value.
+ * malformed token print the parser's diagnostic (naming the flag and
+ * the offending text) and exit with usage, never with a half-parsed
+ * value.
  */
 template <typename Parse>
 auto
@@ -201,7 +201,8 @@ parsed(const char *argv0, Parse &&parse) -> decltype(parse())
 {
     try {
         return parse();
-    } catch (const FatalError &) {
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
         usage(argv0);
     }
 }
@@ -948,15 +949,16 @@ main(int argc, char **argv)
     // we can report, not a SIGPIPE process kill.
     std::signal(SIGPIPE, SIG_IGN);
     // Guest failures are architected Trap/Hang outcomes and never throw;
-    // the only exceptions reaching here are host-level, already logged
-    // to stderr by fatal()/panic(). Separate the two error classes by
-    // exit code: user error (bad input, unreadable file) is 1, a
-    // simulator invariant violation is 2.
+    // the only exceptions reaching here are host-level. Separate the two
+    // error classes by exit code: user error (bad input, unreadable
+    // file) is 1, printed here once; a simulator invariant violation is
+    // 2, already printed by panic().
     try {
         return runMain(argc, argv);
     } catch (const PanicError &) {
         return 2;
-    } catch (const FatalError &) {
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;
     }
 }
