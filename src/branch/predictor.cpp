@@ -63,13 +63,7 @@ BranchPredictor::btbInsert(Addr pc, Addr target)
 BranchPredictor::Prediction
 BranchPredictor::predict(Addr pc, OpClass cls, Addr fallThrough)
 {
-    stats_.add("predictions");
-    return predictHot(pc, cls, fallThrough);
-}
-
-BranchPredictor::Prediction
-BranchPredictor::predictHot(Addr pc, OpClass cls, Addr fallThrough)
-{
+    predictions_.bump(stats_, "predictions");
     Prediction pred;
     pred.target = fallThrough;
 
@@ -130,13 +124,7 @@ BranchPredictor::predictHot(Addr pc, OpClass cls, Addr fallThrough)
 void
 BranchPredictor::update(Addr pc, OpClass cls, bool taken, Addr target)
 {
-    stats_.add("updates");
-    updateHot(pc, cls, taken, target);
-}
-
-void
-BranchPredictor::updateHot(Addr pc, OpClass cls, bool taken, Addr target)
-{
+    updates_.bump(stats_, "updates");
     if (cls == OpClass::CondBranch) {
         const unsigned idx = gshareIndex(pc);
         uint8_t &counter = counters_[idx];

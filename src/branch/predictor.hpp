@@ -61,24 +61,12 @@ class BranchPredictor
      */
     void update(Addr pc, OpClass cls, bool taken, Addr target);
 
-    /**
-     * @name Caller-accounted hot variants.
-     * predict()/update() are implemented as a "predictions"/"updates"
-     * counter bump plus these, so direction, BTB, RAS, and history
-     * behaviour is identical by construction. Hot consumers (the
-     * trace-feed timing path and sampled-mode warming) call these and
-     * bump cached StatGroup::cell() pointers themselves, keeping the
-     * per-branch path free of map lookups.
-     */
-    /// @{
-    Prediction predictHot(Addr pc, OpClass cls, Addr fallThrough);
-    void updateHot(Addr pc, OpClass cls, bool taken, Addr target);
-    /// @}
-
     /** Push a return address (on calls). */
     void pushReturn(Addr returnAddr);
 
     const StatGroup &stats() const { return stats_; }
+    /** For an owner that creates keys up front; hold no cell() pointer
+     *  from it, since copy-assignment replaces the group. */
     StatGroup &stats() { return stats_; }
 
   private:
@@ -106,6 +94,10 @@ class BranchPredictor
     size_t rasTop_ = 0;
     uint64_t useCounter_ = 0;
     StatGroup stats_;
+    /** stats_ counters; a copy starts with them unbound (StatCell), so
+     *  its bumps land in its own stats_. */
+    StatCell predictions_;
+    StatCell updates_;
 };
 
 } // namespace dise

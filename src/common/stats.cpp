@@ -23,6 +23,12 @@ StatGroup::get(const std::string &key) const
     return it == counters_.end() ? 0 : it->second;
 }
 
+uint64_t *
+StatCell::bind(StatGroup &group, const char *key)
+{
+    return group.cell(key);
+}
+
 void
 StatGroup::reset()
 {

@@ -67,6 +67,43 @@ class StatGroup
     std::map<std::string, uint64_t> counters_;
 };
 
+/**
+ * One counter of a StatGroup, bumped through a pointer bound on first
+ * use: after the first bump, a bump is a compare and an increment with
+ * no string or map lookup, and the key appears in the group exactly
+ * when add() would have created it. The pointer aims into one group's
+ * map, so a copy starts unbound, and a holder whose group is replaced
+ * (copy-assigned from another) must unbind() it.
+ */
+class StatCell
+{
+  public:
+    StatCell() = default;
+    StatCell(const StatCell &) {}
+    StatCell &
+    operator=(const StatCell &)
+    {
+        cell_ = nullptr;
+        return *this;
+    }
+
+    void
+    bump(StatGroup &group, const char *key)
+    {
+        if (cell_ == nullptr) [[unlikely]]
+            cell_ = bind(group, key);
+        ++*cell_;
+    }
+
+    void unbind() { cell_ = nullptr; }
+
+  private:
+    /** Out of line: keeps the string construction off inlined paths. */
+    static uint64_t *bind(StatGroup &group, const char *key);
+
+    uint64_t *cell_ = nullptr;
+};
+
 /** Ratio helper that tolerates zero denominators. */
 double safeRatio(double num, double den);
 

@@ -86,46 +86,19 @@ struct DecodedInst
     bool isCodeword() const { return cls == OpClass::Codeword; }
 
     /**
+     * @name Register dependences.
+     *
+     * Inline switches on the decoded (cls, op) pair: the timing model
+     * walks them once per instruction. An exhaustive test checks them
+     * against a derivation from each opcode's encoding format.
+     */
+    /// @{
+    /**
      * Destination register, or kZeroReg when the instruction writes
      * nothing architecturally visible.
      */
-    RegIndex destReg() const;
-
-    /** True if destReg() is a real (non-zero-register) write. */
-    bool writesReg() const;
-
-    /** Source registers in evaluation order (excludes the zero reg). */
-    std::vector<RegIndex> srcRegs() const;
-
-    /** srcRegs() without the vector: for per-instruction hot loops. */
-    SrcRegList srcRegList() const;
-
-    /** @name Trigger field roles (paper Section 2.1). */
-    /// @{
-    /** T.RS: primary source — memory base, operate ra, branch ra. */
-    RegIndex triggerRS() const;
-    /** T.RT: secondary source — store data register, operate rb. */
-    RegIndex triggerRT() const;
-    /** T.RD: destination — load ra, operate rc, call link register. */
-    RegIndex triggerRD() const;
-    /// @}
-
-    /** Direct-branch target for a trigger fetched at @p pc. */
-    Addr branchTarget(Addr pc) const;
-
-    /**
-     * @name Inline fast variants of destReg() / srcRegList().
-     *
-     * Same results for every decodable instruction, dispatching on the
-     * decoded (cls, op) pair instead of the out-of-line opInfo() format
-     * lookup. They exist so the trace-feed timing path can walk register
-     * dependences without leaving the hot loop, while the step-driven
-     * reference keeps the original out-of-line cost profile; an
-     * exhaustive test asserts equivalence over the whole opcode space.
-     */
-    /// @{
     RegIndex
-    destRegFast() const
+    destReg() const
     {
         switch (cls) {
           case OpClass::Load:
@@ -137,11 +110,10 @@ struct DecodedInst
             return rc;
           case OpClass::UncondBranch:
           case OpClass::Call:
-            return ra; // BR/BSR link through ra
           case OpClass::Jump:
           case OpClass::CallIndirect:
           case OpClass::Return:
-            return ra;
+            return ra; // BR/BSR and jumps link through ra
           case OpClass::CondBranch:
             // Fused compare+branch writes the compare result to rc.
             return op == Opcode::FCMPBR ? rc : kZeroReg;
@@ -155,8 +127,15 @@ struct DecodedInst
         }
     }
 
+    /** True if destReg() is a real (non-zero-register) write. */
+    bool writesReg() const { return destReg() != kZeroReg; }
+
+    /** Source registers in evaluation order (excludes the zero reg). */
+    std::vector<RegIndex> srcRegs() const;
+
+    /** srcRegs() without the vector: for per-instruction hot loops. */
     SrcRegList
-    srcRegListFast() const
+    srcRegList() const
     {
         SrcRegList srcs;
         switch (cls) {
@@ -206,6 +185,19 @@ struct DecodedInst
         return srcs;
     }
     /// @}
+
+    /** @name Trigger field roles (paper Section 2.1). */
+    /// @{
+    /** T.RS: primary source — memory base, operate ra, branch ra. */
+    RegIndex triggerRS() const;
+    /** T.RT: secondary source — store data register, operate rb. */
+    RegIndex triggerRT() const;
+    /** T.RD: destination — load ra, operate rc, call link register. */
+    RegIndex triggerRD() const;
+    /// @}
+
+    /** Direct-branch target for a trigger fetched at @p pc. */
+    Addr branchTarget(Addr pc) const;
 
     bool operator==(const DecodedInst &other) const;
 };

@@ -25,18 +25,6 @@ Cache::Cache(const CacheParams &params, Cache *next, uint32_t memLatency)
 }
 
 uint32_t
-Cache::access(Addr addr, bool write)
-{
-    bump(accessesCell_, "accesses");
-    if (write)
-        bump(writesCell_, "writes");
-    // accessHot() is the whole algorithm (MRU probe inline, the rest
-    // in accessFillPath); access() only adds the per-access counters
-    // the hot callers account for themselves.
-    return accessHot(addr, write);
-}
-
-uint32_t
 Cache::accessFillPath(Addr addr, bool write, uint64_t set, uint64_t tag)
 {
     Line *way = &lines_[set * params_.assoc];
@@ -59,11 +47,11 @@ Cache::accessFillPath(Addr addr, bool write, uint64_t set, uint64_t tag)
         return params_.hitLatency;
     }
 
-    bump(missesCell_, "misses");
+    misses_.bump(stats_, "misses");
     uint32_t latency = params_.hitLatency;
     // Write back the victim.
     if (victim->valid && victim->dirty) {
-        bump(writebacksCell_, "writebacks");
+        writebacks_.bump(stats_, "writebacks");
         if (next_) {
             const uint64_t victimLine = (victim->tag << tagShift_) | set;
             next_->access(victimLine * params_.lineBytes, true);
@@ -122,7 +110,10 @@ Cache::adoptState(const Cache &other)
     mru_ = other.mru_;
     useCounter_ = other.useCounter_;
     stats_ = other.stats_;
-    accessesCell_ = writesCell_ = missesCell_ = writebacksCell_ = nullptr;
+    accesses_.unbind();
+    writes_.unbind();
+    misses_.unbind();
+    writebacks_.unbind();
 }
 
 MemHierarchy::MemHierarchy(const MemHierarchyParams &params)

@@ -45,8 +45,8 @@ class Cache
      */
     Cache(const CacheParams &params, Cache *next, uint32_t memLatency);
 
-    /** Not copyable: the bound stat cells point into this cache's own
-     *  StatGroup (adoptState() is the supported state transfer). */
+    /** Not copyable: its next-level link and stat cells are its own
+     *  (adoptState() is the supported state transfer). */
     Cache(const Cache &) = delete;
     Cache &operator=(const Cache &) = delete;
 
@@ -56,29 +56,23 @@ class Cache
      *             one line).
      * @param write True for stores.
      * @return Total latency in cycles, including lower levels on a miss.
-     */
-    uint32_t access(Addr addr, bool write);
-
-    /**
-     * The caller-accounted hot variant of access(): identical line,
-     * LRU, miss, and writeback behaviour (access() is implemented on
-     * top of it), except that the per-access "accesses"/"writes"
-     * counter bumps are the caller's responsibility — hot consumers
-     * (the trace-feed timing path, sampled-mode warming) bump cached
-     * StatGroup::cell() pointers instead, keeping the common
-     * MRU-hit case free of map lookups. Final counter values are
-     * identical either way; miss-side stats stay internal.
+     *
+     * Inline so that the common case, a hit in the set's MRU way, costs
+     * the timing model no call and no map lookup; the rest of the
+     * lookup and the whole miss path are in accessFillPath().
      */
     uint32_t
-    accessHot(Addr addr, bool write)
+    access(Addr addr, bool write)
     {
+        accesses_.bump(stats_, "accesses");
+        if (write)
+            writes_.bump(stats_, "writes");
         if (perfect_)
             return params_.hitLatency;
         const uint64_t la = uint64_t(addr) >> lineShift_;
         const uint64_t set = la & (numSets_ - 1);
         const uint64_t tag = la >> tagShift_;
-        Line *way = &lines_[set * params_.assoc];
-        Line &mruLine = way[mru_[set]];
+        Line &mruLine = lines_[set * params_.assoc + mru_[set]];
         if (mruLine.valid && mruLine.tag == tag) {
             mruLine.lastUse = ++useCounter_;
             if (write)
@@ -87,9 +81,6 @@ class Cache
         }
         return accessFillPath(addr, write, set, tag);
     }
-
-    /** Mutable stats access for cell() caching by hot consumers. */
-    StatGroup &statsMutable() { return stats_; }
 
     /** True if @p addr is resident (no state change, no stats). */
     bool probe(Addr addr) const;
@@ -113,6 +104,9 @@ class Cache
     }
 
     const StatGroup &stats() const { return stats_; }
+    /** For an owner that creates keys up front; hold no cell() pointer
+     *  from it, since adoptState() replaces the group. */
+    StatGroup &stats() { return stats_; }
 
     /**
      * Adopt another cache's line/LRU/statistics state (checkpoint
@@ -132,24 +126,9 @@ class Cache
 
     uint64_t lineAddr(Addr addr) const { return addr / params_.lineBytes; }
 
-    /** Non-MRU hits and the whole miss path of accessHot(). */
+    /** Non-MRU hits and the whole miss path of access(). */
     uint32_t accessFillPath(Addr addr, bool write, uint64_t set,
                             uint64_t tag);
-
-    /**
-     * Bump the counter @p key through the cached cell @p slot, binding
-     * it on first use. Binding lazily keeps the StatGroup's key set
-     * exactly what add() would have produced (a cache that never
-     * misses has no "misses" key), without a string map lookup per
-     * bump after the first.
-     */
-    void
-    bump(uint64_t *&slot, const char *key)
-    {
-        if (slot == nullptr)
-            slot = stats_.cell(key);
-        ++*slot;
-    }
 
     CacheParams params_;
     Cache *next_;
@@ -168,13 +147,12 @@ class Cache
     std::vector<uint32_t> mru_;
     uint64_t useCounter_ = 0;
     StatGroup stats_;
-    /** @name Lazily bound stats_ cells (see bump()); cleared whenever
-     *  stats_ is replaced, since its map nodes go with it. */
+    /** @name stats_ counters (adoptState() unbinds them). */
     /// @{
-    uint64_t *accessesCell_ = nullptr;
-    uint64_t *writesCell_ = nullptr;
-    uint64_t *missesCell_ = nullptr;
-    uint64_t *writebacksCell_ = nullptr;
+    StatCell accesses_;
+    StatCell writes_;
+    StatCell misses_;
+    StatCell writebacks_;
     /// @}
 };
 

@@ -48,9 +48,8 @@ PipelineSim::PipelineSim(const Program &prog, const PipelineParams &params,
     issueRing_.assign(params_.rsEntries, 0);
     regReady_.fill(0);
 
-    const uint32_t lb = params_.mem.lineBytes;
-    feLinePow2_ = lb != 0 && isPow2(lb);
-    feLineShift_ = feLinePow2_ ? log2i(lb) : 0;
+    DISE_ASSERT(isPow2(params_.mem.lineBytes), "line size must be pow2");
+    feLineShift_ = log2i(params_.mem.lineBytes);
 
     // Worst-case commit-clock advance for one instruction: a PT/RT fill
     // stall, plus an I-side and a D-side full miss chain (each at most
@@ -67,17 +66,13 @@ PipelineSim::PipelineSim(const Program &prog, const PipelineParams &params,
              params_.syscallLatency + params_.intMultLatency +
              params_.decodeRedirectPenalty + params_.width + 16);
 
-    rebindHotCells();
-}
-
-void
-PipelineSim::rebindHotCells()
-{
-    icAccCell_ = mem_.icache().statsMutable().cell("accesses");
-    dcAccCell_ = mem_.dcache().statsMutable().cell("accesses");
-    dcWrCell_ = mem_.dcache().statsMutable().cell("writes");
-    bpPredCell_ = bpred_.stats().cell("predictions");
-    bpUpdCell_ = bpred_.stats().cell("updates");
+    // A timing registry carries these counters even when they stay zero
+    // (a program without loads, stores or branches).
+    mem_.icache().stats().add("accesses", 0);
+    mem_.dcache().stats().add("accesses", 0);
+    mem_.dcache().stats().add("writes", 0);
+    bpred_.stats().add("predictions", 0);
+    bpred_.stats().add("updates", 0);
 }
 
 void
@@ -103,74 +98,17 @@ PipelineSim::setSampling(uint64_t period, uint64_t detail)
 }
 
 // ---------------------------------------------------------------------
-// Leaf accessors: the ONLY divergence between the step-driven reference
-// (kFast = false: public stat-counting component entry points) and the
-// trace-feed path (kFast = true: inline hot variants + cached cells).
-// ---------------------------------------------------------------------
-
-template <bool kFast>
-uint32_t
-PipelineSim::fetchAccessT(Addr pc)
-{
-    if constexpr (kFast) {
-        ++*icAccCell_;
-        return mem_.icache().accessHot(pc, false);
-    } else {
-        return mem_.fetchAccess(pc);
-    }
-}
-
-template <bool kFast>
-uint32_t
-PipelineSim::dataAccessT(Addr addr, bool write)
-{
-    if constexpr (kFast) {
-        ++*dcAccCell_;
-        if (write)
-            ++*dcWrCell_;
-        return mem_.dcache().accessHot(addr, write);
-    } else {
-        return mem_.dataAccess(addr, write);
-    }
-}
-
-template <bool kFast>
-BranchPredictor::Prediction
-PipelineSim::predictT(Addr pc, OpClass cls, Addr fallThrough)
-{
-    if constexpr (kFast) {
-        ++*bpPredCell_;
-        return bpred_.predictHot(pc, cls, fallThrough);
-    } else {
-        return bpred_.predict(pc, cls, fallThrough);
-    }
-}
-
-template <bool kFast>
-void
-PipelineSim::updateT(Addr pc, OpClass cls, bool taken, Addr target)
-{
-    if constexpr (kFast) {
-        ++*bpUpdCell_;
-        bpred_.updateHot(pc, cls, taken, target);
-    } else {
-        bpred_.update(pc, cls, taken, target);
-    }
-}
-
-// ---------------------------------------------------------------------
 // The timing model proper (shared between both delivery paths).
 // ---------------------------------------------------------------------
 
-template <bool kFast>
 void
-PipelineSim::newFetchGroupT(uint64_t cycle, Addr pc, bool accessICache)
+PipelineSim::newFetchGroup(uint64_t cycle, Addr pc, bool accessICache)
 {
     feCycle_ = std::max(feCycle_, cycle);
     feSlots_ = 0;
     const uint64_t line = fetchLine(pc);
     if (accessICache || line != curLine_) {
-        const uint32_t lat = fetchAccessT<kFast>(pc);
+        const uint32_t lat = mem_.fetchAccess(pc);
         if (lat > params_.mem.l1Latency) {
             feCycle_ += lat - params_.mem.l1Latency;
             pend_.imiss += lat - params_.mem.l1Latency;
@@ -188,9 +126,10 @@ PipelineSim::raiseRedirect(uint64_t cycle, StallCause cause)
     }
 }
 
-template <bool kFast>
-uint64_t
-PipelineSim::frontendT(const DynInst &dyn)
+// Inline: timeInst is its only caller, and a call per instruction
+// costs the model measurable time.
+inline uint64_t
+PipelineSim::frontend(const DynInst &dyn)
 {
     const bool appBoundary = !dyn.expanded || dyn.firstOfSeq;
 
@@ -213,8 +152,8 @@ PipelineSim::frontendT(const DynInst &dyn)
                     break;
                 }
             }
-            newFetchGroupT<kFast>(std::max(pendingRedirect_, feCycle_),
-                                  dyn.pc, true);
+            newFetchGroup(std::max(pendingRedirect_, feCycle_), dyn.pc,
+                          true);
             pendingRedirect_ = 0;
             redirectCause_ = StallCause::None;
         }
@@ -222,7 +161,7 @@ PipelineSim::frontendT(const DynInst &dyn)
         if (dyn.missPenalty > 0) {
             result_.missStallCycles += dyn.missPenalty;
             pend_.dise += dyn.missPenalty;
-            newFetchGroupT<kFast>(feCycle_ + dyn.missPenalty, dyn.pc, true);
+            newFetchGroup(feCycle_ + dyn.missPenalty, dyn.pc, true);
         }
         // Expansion stall placement: one bubble per expansion.
         if (dyn.firstOfSeq && stallPerExpansion_) {
@@ -233,10 +172,10 @@ PipelineSim::frontendT(const DynInst &dyn)
         const uint64_t line = fetchLine(dyn.pc);
         if (line != curLine_) {
             // Line crossing: new fetch group with an I-cache access.
-            newFetchGroupT<kFast>(feSlots_ > 0 ? feCycle_ + 1 : feCycle_,
-                                  dyn.pc, true);
+            newFetchGroup(feSlots_ > 0 ? feCycle_ + 1 : feCycle_, dyn.pc,
+                          true);
         } else if (feSlots_ >= params_.width) {
-            newFetchGroupT<kFast>(feCycle_ + 1, dyn.pc, false);
+            newFetchGroup(feCycle_ + 1, dyn.pc, false);
         }
     } else {
         // Replacement instruction: consumes a decode slot, no fetch.
@@ -263,11 +202,10 @@ PipelineSim::instLatency(const DynInst &dyn) const
     }
 }
 
-template <bool kFast>
 void
-PipelineSim::resolveControlT(Addr pc, OpClass cls, bool taken, Addr target,
-                             uint64_t resolveCycle, uint64_t decodeCycle,
-                             const BranchPredictor::Prediction &pred)
+PipelineSim::resolveControl(Addr pc, OpClass cls, bool taken, Addr target,
+                            uint64_t resolveCycle, uint64_t decodeCycle,
+                            const BranchPredictor::Prediction &pred)
 {
     const bool wrongDir = pred.taken != taken;
     const bool wrongTarget =
@@ -290,38 +228,69 @@ PipelineSim::resolveControlT(Addr pc, OpClass cls, bool taken, Addr target,
         feSlots_ = 0;
         curLine_ = ~uint64_t(0);
     }
-    if (cls != OpClass::Nop) {
-        updateT<kFast>(pc, cls, taken, target);
-        if (cls == OpClass::Call || cls == OpClass::CallIndirect)
-            bpred_.pushReturn(pc + 4);
+    train(pc, cls, taken, target);
+}
+
+void
+PipelineSim::train(Addr pc, OpClass cls, bool taken, Addr target)
+{
+    if (cls == OpClass::Nop)
+        return; // a sequence with no trigger-PC prediction
+    bpred_.update(pc, cls, taken, target);
+    if (cls == OpClass::Call || cls == OpClass::CallIndirect)
+        bpred_.pushReturn(pc + 4);
+}
+
+void
+PipelineSim::beginSequence(const DynInst &dyn)
+{
+    seqPredCls_ = dyn.seqPredClass;
+    seqTriggerPC_ = dyn.pc;
+    seqTrigTaken_ = false;
+    seqTrigTarget_ = 0;
+    seqRedirected_ = false;
+    seqRedirTarget_ = 0;
+    if (seqPredCls_ != OpClass::Nop) {
+        seqPred_ = bpred_.predict(dyn.pc, seqPredCls_, dyn.pc + 4);
+    } else {
+        seqPred_ = BranchPredictor::Prediction{};
+        seqPred_.target = dyn.pc + 4;
+        seqPred_.targetKnown = true;
     }
 }
 
-template <bool kFast>
+void
+PipelineSim::noteSeqTransfer(const DynInst &dyn)
+{
+    if (!dyn.isAppControl || !dyn.taken)
+        return;
+    if (dyn.triggerSlot) {
+        // Deferred: applied at sequence end unless a later non-trigger
+        // branch redirects first.
+        seqTrigTaken_ = true;
+        seqTrigTarget_ = dyn.actualTarget;
+    } else {
+        seqRedirected_ = true;
+        seqRedirTarget_ = dyn.actualTarget;
+    }
+}
+
 void
 PipelineSim::timeInst(const DynInst &dyn)
 {
     // ---- Front end: decode timestamp. ----
-    const uint64_t decodeCycle = frontendT<kFast>(dyn);
+    const uint64_t decodeCycle = frontend(dyn);
 
     // ---- Dispatch. ----
     uint64_t dispatch = decodeCycle + feDepth_;
-    // Ring slots for this instruction. The feed path keeps incremental
-    // wraparound cursors (a runtime-divisor modulo costs measurable time
-    // per instruction, and these fire four times per inst); the
-    // reference derives the identical slot the original way.
-    const size_t robIdx =
-        kFast ? robIdx_ : size_t(instIndex_ % params_.robEntries);
-    const size_t rsIdx =
-        kFast ? rsIdx_ : size_t(instIndex_ % params_.rsEntries);
     // ROB entry must be free.
-    const uint64_t robFree = commitRing_[robIdx];
+    const uint64_t robFree = commitRing_[robIdx_];
     if (robFree > dispatch) {
         pend_.hazard += robFree - dispatch;
         dispatch = robFree;
     }
     // RS entry must be free (freed at issue).
-    const uint64_t rsFree = issueRing_[rsIdx] + 1;
+    const uint64_t rsFree = issueRing_[rsIdx_] + 1;
     if (rsFree > dispatch) {
         pend_.hazard += rsFree - dispatch;
         dispatch = rsFree;
@@ -343,30 +312,23 @@ PipelineSim::timeInst(const DynInst &dyn)
 
     // ---- Issue: dataflow-limited. ----
     uint64_t ready = dispatch + 1;
-    if constexpr (kFast) {
-        const SrcRegList srcs = dyn.inst.srcRegListFast();
-        for (const RegIndex src : srcs)
-            ready = std::max(ready, regReady_[src]);
-    } else {
-        for (const RegIndex src : dyn.inst.srcRegList())
-            ready = std::max(ready, regReady_[src]);
-    }
+    for (const RegIndex src : dyn.inst.srcRegList())
+        ready = std::max(ready, regReady_[src]);
     if (ready > dispatch + 1)
         pend_.hazard += ready - (dispatch + 1);
     const uint64_t issue = ready;
-    issueRing_[rsIdx] = issue;
+    issueRing_[rsIdx_] = issue;
 
     // ---- Complete. ----
     uint64_t complete = issue + instLatency(dyn);
     if (dyn.isMem && !dyn.isStore) {
         // Loads: AGU + D-cache access.
-        const uint32_t lat = dataAccessT<kFast>(dyn.memAddr, false);
+        const uint32_t lat = mem_.dataAccess(dyn.memAddr, false);
         if (lat > params_.mem.l1Latency)
             pend_.dmiss += lat - params_.mem.l1Latency;
         complete = issue + 1 + lat;
     }
-    const RegIndex dest =
-        kFast ? dyn.inst.destRegFast() : dyn.inst.destReg();
+    const RegIndex dest = dyn.inst.destReg();
     if (dest != kZeroReg)
         regReady_[dest] = complete;
 
@@ -385,7 +347,7 @@ PipelineSim::timeInst(const DynInst &dyn)
     }
     ++commitSlots_;
     lastCommit_ = commit;
-    commitRing_[robIdx] = commit;
+    commitRing_[robIdx_] = commit;
 
     // ---- Cycle accounting (see CycleBreakdown): charge this
     // instruction's commit-clock advance to its observed stall
@@ -422,7 +384,7 @@ PipelineSim::timeInst(const DynInst &dyn)
     if (dyn.isStore) {
         // Store buffer: D-cache updated at commit, off the critical
         // path.
-        dataAccessT<kFast>(dyn.memAddr, true);
+        mem_.dataAccess(dyn.memAddr, true);
     }
     if (dyn.isSyscall) {
         // Syscalls serialize the pipeline.
@@ -439,29 +401,14 @@ PipelineSim::timeInst(const DynInst &dyn)
     // resolved when its deciding branch executes.
     if (!dyn.expanded) {
         if (dyn.isAppControl) {
-            const auto pred =
-                predictT<kFast>(dyn.pc, dyn.inst.cls, dyn.pc + 4);
-            resolveControlT<kFast>(dyn.pc, dyn.inst.cls, dyn.taken,
-                                   dyn.actualTarget, complete, decodeCycle,
-                                   pred);
+            const auto pred = bpred_.predict(dyn.pc, dyn.inst.cls, dyn.pc + 4);
+            resolveControl(dyn.pc, dyn.inst.cls, dyn.taken, dyn.actualTarget,
+                           complete, decodeCycle, pred);
         }
     } else {
         if (dyn.firstOfSeq) {
-            seqPredCls_ = dyn.seqPredClass;
-            seqTriggerPC_ = dyn.pc;
-            seqTrigTaken_ = false;
-            seqTrigTarget_ = 0;
-            seqRedirected_ = false;
-            seqRedirTarget_ = 0;
+            beginSequence(dyn);
             seqResolve_ = complete;
-            if (seqPredCls_ != OpClass::Nop) {
-                seqPred_ =
-                    predictT<kFast>(dyn.pc, seqPredCls_, dyn.pc + 4);
-            } else {
-                seqPred_ = BranchPredictor::Prediction{};
-                seqPred_.target = dyn.pc + 4;
-                seqPred_.targetKnown = true;
-            }
         }
         if (dyn.inst.isDiseBranch() && dyn.taken) {
             // Taken DISE branch: fetch restarts at the same PC, new
@@ -469,39 +416,22 @@ PipelineSim::timeInst(const DynInst &dyn)
             ++result_.diseMispredicts;
             raiseRedirect(complete + 1, StallCause::Dise);
         }
-        if (dyn.isAppControl) {
+        if (dyn.isAppControl)
             seqResolve_ = std::max(seqResolve_, complete);
-            if (dyn.taken) {
-                if (dyn.triggerSlot) {
-                    // Deferred: applied at sequence end unless a
-                    // later non-trigger branch redirects first.
-                    seqTrigTaken_ = true;
-                    seqTrigTarget_ = dyn.actualTarget;
-                } else {
-                    seqRedirected_ = true;
-                    seqRedirTarget_ = dyn.actualTarget;
-                }
-            }
-        }
+        noteSeqTransfer(dyn);
         if (dyn.lastOfSeq) {
-            const bool taken = seqRedirected_ || seqTrigTaken_;
-            const Addr next = seqRedirected_
-                                  ? seqRedirTarget_
-                                  : (seqTrigTaken_ ? seqTrigTarget_
-                                                   : dyn.pc + 4);
-            resolveControlT<kFast>(seqTriggerPC_, seqPredCls_, taken, next,
-                                   std::max(seqResolve_, complete),
-                                   decodeCycle, seqPred_);
+            resolveControl(seqTriggerPC_, seqPredCls_, seqTaken(),
+                           seqNextPC(dyn.pc + 4),
+                           std::max(seqResolve_, complete), decodeCycle,
+                           seqPred_);
         }
     }
 
     ++instIndex_;
-    if constexpr (kFast) {
-        if (++robIdx_ == params_.robEntries)
-            robIdx_ = 0;
-        if (++rsIdx_ == params_.rsEntries)
-            rsIdx_ = 0;
-    }
+    if (++robIdx_ == params_.robEntries)
+        robIdx_ = 0;
+    if (++rsIdx_ == params_.rsEntries)
+        rsIdx_ = 0;
 }
 
 // ---------------------------------------------------------------------
@@ -522,8 +452,7 @@ PipelineSim::warmInst(const DynInst &dyn)
             curLine_ = ~uint64_t(0); // PT/RT fill flushes the front end
         const uint64_t line = fetchLine(dyn.pc);
         if (line != curLine_) {
-            ++*icAccCell_;
-            mem_.icache().accessHot(dyn.pc, false);
+            mem_.fetchAccess(dyn.pc);
             curLine_ = line;
         }
     }
@@ -531,12 +460,8 @@ PipelineSim::warmInst(const DynInst &dyn)
     // D-side: loads and stores in program order, exactly as the
     // detailed model orders its calls (loads at issue, stores at
     // commit, both within the same per-instruction pass).
-    if (dyn.isMem) {
-        ++*dcAccCell_;
-        if (dyn.isStore)
-            ++*dcWrCell_;
-        mem_.dcache().accessHot(dyn.memAddr, dyn.isStore);
-    }
+    if (dyn.isMem)
+        mem_.dataAccess(dyn.memAddr, dyn.isStore);
 
     // Branch predictor: replicate the detailed model's predict/update/
     // RAS traffic, including sequence-level prediction for expansions.
@@ -546,60 +471,20 @@ PipelineSim::warmInst(const DynInst &dyn)
     // fetch group with an unconditional I-cache access.
     if (!dyn.expanded) {
         if (dyn.isAppControl) {
-            ++*bpPredCell_;
-            const auto pred =
-                bpred_.predictHot(dyn.pc, dyn.inst.cls, dyn.pc + 4);
-            ++*bpUpdCell_;
-            bpred_.updateHot(dyn.pc, dyn.inst.cls, dyn.taken,
-                             dyn.actualTarget);
-            if (dyn.inst.cls == OpClass::Call ||
-                dyn.inst.cls == OpClass::CallIndirect)
-                bpred_.pushReturn(dyn.pc + 4);
+            const auto pred = bpred_.predict(dyn.pc, dyn.inst.cls, dyn.pc + 4);
+            train(dyn.pc, dyn.inst.cls, dyn.taken, dyn.actualTarget);
             if (dyn.taken || pred.taken)
                 curLine_ = ~uint64_t(0);
         }
     } else {
-        if (dyn.firstOfSeq) {
-            seqPredCls_ = dyn.seqPredClass;
-            seqTriggerPC_ = dyn.pc;
-            seqTrigTaken_ = false;
-            seqTrigTarget_ = 0;
-            seqRedirected_ = false;
-            seqRedirTarget_ = 0;
-            if (seqPredCls_ != OpClass::Nop) {
-                ++*bpPredCell_;
-                seqPred_ = bpred_.predictHot(dyn.pc, seqPredCls_,
-                                             dyn.pc + 4);
-            } else {
-                seqPred_ = BranchPredictor::Prediction{};
-                seqPred_.target = dyn.pc + 4;
-                seqPred_.targetKnown = true;
-            }
-        }
+        if (dyn.firstOfSeq)
+            beginSequence(dyn);
         if (dyn.inst.isDiseBranch() && dyn.taken)
             curLine_ = ~uint64_t(0); // unpredicted redirect, refetch
-        if (dyn.isAppControl && dyn.taken) {
-            if (dyn.triggerSlot) {
-                seqTrigTaken_ = true;
-                seqTrigTarget_ = dyn.actualTarget;
-            } else {
-                seqRedirected_ = true;
-                seqRedirTarget_ = dyn.actualTarget;
-            }
-        }
+        noteSeqTransfer(dyn);
         if (dyn.lastOfSeq) {
-            const bool taken = seqRedirected_ || seqTrigTaken_;
-            const Addr next = seqRedirected_
-                                  ? seqRedirTarget_
-                                  : (seqTrigTaken_ ? seqTrigTarget_
-                                                   : dyn.pc + 4);
-            if (seqPredCls_ != OpClass::Nop) {
-                ++*bpUpdCell_;
-                bpred_.updateHot(seqTriggerPC_, seqPredCls_, taken, next);
-                if (seqPredCls_ == OpClass::Call ||
-                    seqPredCls_ == OpClass::CallIndirect)
-                    bpred_.pushReturn(seqTriggerPC_ + 4);
-            }
+            const bool taken = seqTaken();
+            train(seqTriggerPC_, seqPredCls_, taken, seqNextPC(dyn.pc + 4));
             if (taken || seqPred_.taken)
                 curLine_ = ~uint64_t(0);
         }
@@ -619,7 +504,7 @@ PipelineSim::runStepDriven(uint64_t maxInsts, uint64_t maxCycles)
     RunStop stop;
     while (stop.steps < maxInsts && core_.step(dyn)) {
         ++stop.steps;
-        timeInst<false>(dyn);
+        timeInst(dyn);
         if (maxCycles != 0 && lastCommit_ > maxCycles) {
             stop.cycleBudgetExpired = true;
             break;
@@ -739,11 +624,6 @@ PipelineSim::RunStop
 PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
 {
     const bool sampling = samplePeriod_ != 0;
-    // Derived ring cursors for the kFast structural-hazard walk (see
-    // timeInst): recomputed here rather than checkpointed, so snapshot
-    // layout stays independent of the feed implementation.
-    robIdx_ = size_t(instIndex_ % params_.robEntries);
-    rsIdx_ = size_t(instIndex_ % params_.rsEntries);
     // Records the stream may run ahead of the last timed one: that many
     // cannot pass the cycle budget (unlimited without one).
     const auto runAhead = [&]() -> uint64_t {
@@ -824,7 +704,7 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
             // Dedicated full-detail loop: no per-record mode dispatch in
             // the common (unsampled) configuration.
             for (size_t i = 0; i < n; ++i)
-                timeInst<true>(batch[i]);
+                timeInst(batch[i]);
         } else {
             for (size_t i = 0; i < n; ++i) {
                 const DynInst &dyn = batch[i];
@@ -849,7 +729,7 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
                 if (phaseLeft_ > 0)
                     --phaseLeft_;
                 if (phaseDetail_) {
-                    timeInst<true>(dyn);
+                    timeInst(dyn);
                     ++result_.sampling.sampledInsts;
                 } else {
                     warmInst(dyn);
@@ -891,6 +771,10 @@ PipelineSim::run(uint64_t maxInsts, uint64_t maxCycles)
 {
     DISE_ASSERT(samplePeriod_ == 0 || traceFeed_,
                 "sampled timing requires the trace feed");
+    // The ring cursors are derived here rather than checkpointed, so the
+    // snapshot layout does not depend on them.
+    robIdx_ = size_t(instIndex_ % params_.robEntries);
+    rsIdx_ = size_t(instIndex_ % params_.rsEntries);
     const RunStop stop = traceFeed_ ? runFeed(maxInsts, maxCycles)
                                     : runStepDriven(maxInsts, maxCycles);
 
@@ -1014,9 +898,6 @@ PipelineSim::restoreSnapshot(const TimingSnapshot &snap)
         r = *p++;
     for (uint64_t &r : issueRing_)
         r = *p++;
-    // adoptState/copy-assignment above replaced the components' stat
-    // maps; the cached cells point into the old ones.
-    rebindHotCells();
 }
 
 void

@@ -31,8 +31,7 @@
  * Trace delivery (DESIGN.md Section 14): by default the model pulls the
  * dynamic stream in batches through ExecCore::fillTrace (the trace
  * feed), which keeps the architectural interpreter in its fast
- * dispatch loop and times each batch with inlined cache/predictor
- * accessors. A run long enough to span more than one batch fills the
+ * dispatch loop. A run long enough to span more than one batch fills the
  * batches on a helper thread, so the interpreter and the timing model
  * run concurrently on two cores; the helper never runs ahead of the
  * run's instruction or cycle budget, so the state a run leaves is the
@@ -319,46 +318,60 @@ class PipelineSim
     };
 
     /**
-     * @name The timing model proper, shared by both delivery paths.
+     * @name The timing model proper.
      *
-     * Every function is templated on kFast, which selects only the leaf
-     * accessors: kFast = false uses the component's public stat-counting
-     * entry points (Cache::access, BranchPredictor::predict/update,
-     * DecodedInst::srcRegList) — the frozen reference; kFast = true uses
-     * the inline hot variants plus cached StatGroup cells, leaving every
-     * timing decision byte-for-byte the same. Identity between the two
-     * paths is by construction, not by parallel maintenance.
+     * One definition, shared by every delivery path: the trace feed,
+     * the step-driven reference and functional warming all reach the
+     * caches, the predictor and the register dependences through the
+     * same component entry points (Cache::access,
+     * BranchPredictor::predict/update, DecodedInst::srcRegList/destReg).
+     * What the feed adds is delivery only: batches, the helper thread
+     * and the cycle-budget grant.
      */
     /// @{
     /** Time one dynamic instruction (the whole per-instruction pass:
      *  frontend → dispatch → issue → complete → commit → accounting →
      *  control resolution). */
-    template <bool kFast> void timeInst(const DynInst &dyn);
+    void timeInst(const DynInst &dyn);
 
     /** Front-end delivery: returns the decode cycle of @p dyn. */
-    template <bool kFast> uint64_t frontendT(const DynInst &dyn);
+    uint64_t frontend(const DynInst &dyn);
 
     /** Start a new fetch group at @p cycle fetching @p pc. */
-    template <bool kFast>
-    void newFetchGroupT(uint64_t cycle, Addr pc, bool accessICache);
+    void newFetchGroup(uint64_t cycle, Addr pc, bool accessICache);
 
     /**
      * Evaluate a resolved control transfer against its prediction,
      * charging redirects and training the predictor.
      */
-    template <bool kFast>
-    void resolveControlT(Addr pc, OpClass cls, bool taken, Addr target,
-                         uint64_t resolveCycle, uint64_t decodeCycle,
-                         const BranchPredictor::Prediction &pred);
+    void resolveControl(Addr pc, OpClass cls, bool taken, Addr target,
+                        uint64_t resolveCycle, uint64_t decodeCycle,
+                        const BranchPredictor::Prediction &pred);
 
-    /** Leaf accessors (see the group comment). */
-    template <bool kFast> uint32_t fetchAccessT(Addr pc);
-    template <bool kFast> uint32_t dataAccessT(Addr addr, bool write);
-    template <bool kFast>
-    BranchPredictor::Prediction predictT(Addr pc, OpClass cls,
-                                         Addr fallThrough);
-    template <bool kFast>
-    void updateT(Addr pc, OpClass cls, bool taken, Addr target);
+    /** Train the predictor (and the RAS on calls) with a resolved
+     *  transfer; a no-op for class Nop. */
+    void train(Addr pc, OpClass cls, bool taken, Addr target);
+    /// @}
+
+    /**
+     * @name Sequence-level prediction (paper Section 2.2), shared by
+     * timing and warming: one prediction per trigger PC at the first
+     * slot, the sequence's taken transfers recorded as it runs, and the
+     * net outcome resolved against that prediction at the last slot.
+     */
+    /// @{
+    void beginSequence(const DynInst &dyn);
+    void noteSeqTransfer(const DynInst &dyn);
+    bool seqTaken() const { return seqRedirected_ || seqTrigTaken_; }
+    /** Where the sequence goes: a non-trigger redirect wins over the
+     *  trigger's deferred one. */
+    Addr
+    seqNextPC(Addr fallThrough) const
+    {
+        return seqRedirected_ ? seqRedirTarget_
+                              : (seqTrigTaken_ ? seqTrigTarget_
+                                               : fallThrough);
+    }
     /// @}
 
     /** The reference loop: ExecCore::step per instruction. */
@@ -394,20 +407,8 @@ class PipelineSim
      */
     void warmInst(const DynInst &dyn);
 
-    /**
-     * Re-resolve the cached StatGroup cell pointers the kFast leaves
-     * bump. Must run after anything that replaces the components' stat
-     * maps (construction, snapshot restore).
-     */
-    void rebindHotCells();
-
     /** Fetch-line number of @p pc (line-crossing detection). */
-    uint64_t
-    fetchLine(Addr pc) const
-    {
-        return feLinePow2_ ? (pc >> feLineShift_)
-                           : pc / mem_.params().lineBytes;
-    }
+    uint64_t fetchLine(Addr pc) const { return pc >> feLineShift_; }
 
     void raiseRedirect(uint64_t cycle, StallCause cause);
     uint32_t instLatency(const DynInst &dyn) const;
@@ -428,8 +429,7 @@ class PipelineSim
     StallCause redirectCause_ = StallCause::None;
     uint32_t feDepth_ = 7;
     bool stallPerExpansion_ = false;
-    uint32_t feLineShift_ = 0;
-    bool feLinePow2_ = false;
+    uint32_t feLineShift_ = 0; ///< log2 of the (power-of-two) line size
     /// @}
 
     /** @name Cycle-accounting state (see CycleBreakdown).
@@ -508,17 +508,12 @@ class PipelineSim
     /** Feed batch slots, kFeedBatch records each (lazy): the helper
      *  fills them round-robin; an inline fill uses the first. */
     std::vector<DynInst> feedBufs_;
-    /** Incremental commit/issue-ring cursors for the kFast hazard walk;
-     *  derived (instIndex_ mod ring size) at runFeed entry, never
-     *  checkpointed. The reference path keeps the plain modulo. */
+    /** Commit/issue-ring slots of the next instruction, advanced with
+     *  wraparound (a runtime-divisor modulo per instruction costs
+     *  measurable time); derived from instIndex_ by run(), never
+     *  checkpointed. */
     size_t robIdx_ = 0;
     size_t rsIdx_ = 0;
-    /** Cached component stat cells (rebindHotCells). */
-    uint64_t *icAccCell_ = nullptr;
-    uint64_t *dcAccCell_ = nullptr;
-    uint64_t *dcWrCell_ = nullptr;
-    uint64_t *bpPredCell_ = nullptr;
-    uint64_t *bpUpdCell_ = nullptr;
     /// @}
 };
 

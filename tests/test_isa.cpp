@@ -287,6 +287,124 @@ TEST(Roles, ZeroRegWritesDiscarded)
     EXPECT_FALSE(op.writesReg());
 }
 
+/**
+ * The oracle for destReg()/srcRegList(): each instruction's registers
+ * derived from its opcode's encoding format rather than from its class.
+ */
+RegIndex
+formatDestReg(const DecodedInst &inst)
+{
+    // Raw words whose opcode bits name a fused internal op decode to
+    // cls Invalid with unparsed fields; only synthesized fused insts
+    // carry a real class.
+    if (inst.cls == OpClass::Invalid)
+        return kZeroReg;
+    switch (opInfo(inst.op).format) {
+      case InstFormat::Memory:
+        if (inst.cls == OpClass::Store)
+            return inst.op == Opcode::FLDAS ? inst.rc : kZeroReg;
+        return inst.ra;
+      case InstFormat::Branch:
+        // Conditional branches read ra; BR/BSR link through ra. DISE
+        // branches read ra and write nothing.
+        if (inst.cls == OpClass::UncondBranch || inst.cls == OpClass::Call)
+            return inst.ra;
+        return kZeroReg;
+      case InstFormat::Jump:
+        return inst.ra;
+      case InstFormat::Operate:
+        return inst.rc;
+      default:
+        return kZeroReg;
+    }
+}
+
+SrcRegList
+formatSrcRegList(const DecodedInst &inst)
+{
+    SrcRegList srcs;
+    if (inst.cls == OpClass::Invalid)
+        return srcs;
+    switch (opInfo(inst.op).format) {
+      case InstFormat::Memory:
+        srcs.push(inst.rb);
+        if (inst.cls == OpClass::Store)
+            srcs.push(inst.ra);
+        if (inst.op == Opcode::FLDOP)
+            srcs.push(inst.rc);
+        break;
+      case InstFormat::Branch:
+        if (inst.cls == OpClass::CondBranch ||
+            inst.cls == OpClass::DiseBranch)
+            srcs.push(inst.ra);
+        break;
+      case InstFormat::Jump:
+        srcs.push(inst.rb);
+        break;
+      case InstFormat::Operate:
+        srcs.push(inst.ra);
+        if (!inst.useLit)
+            srcs.push(inst.rb);
+        if (inst.op == Opcode::CMOVEQ || inst.op == Opcode::CMOVNE)
+            srcs.push(inst.rc);
+        break;
+      case InstFormat::Syscall:
+        srcs.push(kRetReg);
+        srcs.push(kArg0Reg);
+        srcs.push(static_cast<RegIndex>(kArg0Reg + 1));
+        break;
+      default:
+        break;
+    }
+    return srcs;
+}
+
+void
+expectFormatRegs(const DecodedInst &inst, const std::string &what)
+{
+    ASSERT_EQ(inst.destReg(), formatDestReg(inst)) << what;
+    const SrcRegList want = formatSrcRegList(inst);
+    const SrcRegList got = inst.srcRegList();
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t s = 0; s < want.size(); ++s)
+        ASSERT_EQ(got.regs[s], want.regs[s]) << what << " src " << s;
+}
+
+TEST(Roles, DependencesMatchFormatOracleExhaustively)
+{
+    // Every primary opcode with a dense pattern of operand fields
+    // (registers, literal bit, function codes)...
+    uint64_t lcg = 0x2545F4914F6CDD1Dull;
+    uint64_t checked = 0;
+    for (uint32_t op6 = 0; op6 < 64; ++op6) {
+        for (uint32_t k = 0; k < 4096; ++k) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            const Word w = (op6 << 26) | (Word(lcg >> 32) & 0x03ffffffu);
+            expectFormatRegs(decode(w), strFormat("word 0x%08x", w));
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 64u * 4096u);
+
+    // ...and the fused ops, which no word decodes to: the fusion ACF
+    // synthesizes them with their table class.
+    for (unsigned op = unsigned(Opcode::FCMPBR);
+         op <= unsigned(Opcode::FLDOP); ++op) {
+        for (uint32_t k = 0; k < 4096; ++k) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            DecodedInst inst;
+            inst.op = Opcode(op);
+            inst.cls = opInfo(inst.op).cls;
+            inst.ra = RegIndex((lcg >> 20) % kNumLogicalRegs);
+            inst.rb = RegIndex((lcg >> 30) % kNumLogicalRegs);
+            inst.rc = RegIndex((lcg >> 40) % kNumLogicalRegs);
+            inst.useLit = (lcg >> 50) & 1;
+            expectFormatRegs(inst, strFormat("%s #%u", opName(inst.op),
+                                             unsigned(k)));
+        }
+    }
+}
+
 TEST(Roles, BranchTarget)
 {
     const DecodedInst b = decode(makeBranch(Opcode::BEQ, 1, -2));

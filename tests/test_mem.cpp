@@ -375,11 +375,10 @@ statKeys(const Cache &cache)
 }
 
 /**
- * The miss-path counters (L1 misses and writebacks, and the L2's
- * accesses, writes, misses and writebacks that the L1 miss path drives
- * through access()) bump cached cells; every count must match a
- * two-level reference model, whether the L1 is driven through access()
- * or the caller-accounted accessHot().
+ * Every counter (the L1's accesses, writes, misses and writebacks, and
+ * the L2's, which the L1 miss path drives through access()) bumps a
+ * lazily bound cell; every count must match a two-level reference
+ * model.
  */
 TEST(Cache, MissPathCountersMatchTwoLevelReference)
 {
@@ -390,23 +389,15 @@ TEST(Cache, MissPathCountersMatchTwoLevelReference)
     refL1.next = &refL2;
 
     std::mt19937_64 rng(0x5eed);
-    uint64_t hotAccesses = 0, hotWrites = 0;
     for (int i = 0; i < 50000; ++i) {
         const Addr addr = rng() % (32 * 1024);
         const bool write = (rng() % 3) == 0;
-        if (i % 2 == 0) {
-            l1.access(addr, write);
-        } else {
-            l1.accessHot(addr, write);
-            ++hotAccesses;
-            hotWrites += write;
-        }
+        l1.access(addr, write);
         refL1.access(addr, write);
     }
 
-    // accessHot leaves the L1's own per-access counters to its caller.
-    EXPECT_EQ(l1.accesses() + hotAccesses, refL1.accesses);
-    EXPECT_EQ(l1.stats().get("writes") + hotWrites, refL1.writes);
+    EXPECT_EQ(l1.accesses(), refL1.accesses);
+    EXPECT_EQ(l1.stats().get("writes"), refL1.writes);
     EXPECT_EQ(l1.misses(), refL1.misses);
     EXPECT_EQ(l1.stats().get("writebacks"), refL1.writebacks);
     EXPECT_EQ(l2.accesses(), refL2.accesses);
@@ -443,9 +434,6 @@ TEST(Cache, LazyCellsKeepTheStatKeySet)
         perfect.access(a * 4096, a % 2 == 0);
     EXPECT_EQ(statKeys(perfect),
               (std::vector<std::string>{"accesses", "writes"}));
-    Cache hotOnly(smallCache(1024, 2), nullptr, 100);
-    hotOnly.accessHot(0, false);
-    EXPECT_EQ(statKeys(hotOnly), (std::vector<std::string>{"misses"}));
 }
 
 TEST(Cache, AdoptStateRebindsCells)

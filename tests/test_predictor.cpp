@@ -183,5 +183,44 @@ TEST(Predictor, StatsCount)
     EXPECT_EQ(bp.stats().get("updates"), 1u);
 }
 
+/**
+ * Snapshots copy-construct and copy-assign predictors. A copy's counters
+ * are its own: bumps after the copy land in the copy's stats, never in
+ * the source's, whether the source had already counted or not.
+ */
+TEST(Predictor, CopiesCountIntoTheirOwnStats)
+{
+    const Addr pc = 0x4000000;
+    const auto branch = [pc](BranchPredictor &bp) {
+        bp.predict(pc, OpClass::CondBranch, pc + 4);
+        bp.update(pc, OpClass::CondBranch, true, pc + 64);
+    };
+    const auto expectCounts = [](const BranchPredictor &bp, uint64_t n) {
+        EXPECT_EQ(bp.stats().get("predictions"), n);
+        EXPECT_EQ(bp.stats().get("updates"), n);
+    };
+
+    BranchPredictor source;
+    branch(source);
+    BranchPredictor constructed(source);
+    branch(constructed);
+    branch(constructed);
+    expectCounts(constructed, 3);
+    expectCounts(source, 1);
+
+    BranchPredictor assigned;
+    branch(assigned);
+    assigned = source;
+    branch(assigned);
+    expectCounts(assigned, 2);
+    expectCounts(source, 1);
+
+    // The source keeps counting into its own stats, too.
+    branch(source);
+    expectCounts(source, 2);
+    expectCounts(constructed, 3);
+    expectCounts(assigned, 2);
+}
+
 } // namespace
 } // namespace dise
